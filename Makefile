@@ -1,10 +1,10 @@
-# Development entry points.  `make check` is the CI gate: the simlint
-# static-analysis pass over src/ (per-file rules plus the `--deep`
-# interprocedural pass, ratcheted against analysis-baseline.json so
-# only NEW findings fail), the shardcheck shard-affinity pass (rules
-# R15-R19, which also regenerates docs/shard-safety.md), the
-# scalecheck growth-dimension pass (rules R22-R26, which regenerates
-# docs/scale-readiness.md), the tier-1
+# Development entry points.  `make check` is the CI gate: one simlint
+# invocation over src/ (`analysis-gate`: the per-file rules, the
+# `--deep` interprocedural pass, the shardcheck shard-affinity pass,
+# rules R15-R19, regenerating docs/shard-safety.md, and the scalecheck
+# growth-dimension pass, rules R22-R26, regenerating
+# docs/scale-readiness.md — all ratcheted against
+# analysis-baseline.json so only NEW findings fail), the tier-1
 # test suite (which includes the workers=1 vs workers=N
 # parallel-determinism tests), the simsan runtime determinism
 # sanitizer over a reduced-scale scenario — plain and under the
@@ -14,14 +14,24 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check lint shardcheck scalecheck baseline test \
+.PHONY: check analysis-gate lint shardcheck scalecheck baseline test \
 	parallel-determinism shard-determinism adaptive-guard sanitize \
 	sanitize-shard trace-smoke record-smoke golden-guard bench \
 	bench-experiments experiments
 
-check: lint shardcheck scalecheck test parallel-determinism \
+check: analysis-gate test parallel-determinism \
 	shard-determinism adaptive-guard sanitize sanitize-shard \
 	trace-smoke record-smoke golden-guard
+
+# Every analysis pass in one process, so each file is parsed once:
+# the same findings, exit status and inventories as `lint`,
+# `shardcheck` and `scalecheck` run one by one (those stay for
+# single-pass use).
+analysis-gate:
+	$(PYTHON) -m repro.analysis --deep --shard --scale src/repro \
+	    --baseline analysis-baseline.json \
+	    --shard-inventory docs/shard-safety.md \
+	    --scale-inventory docs/scale-readiness.md
 
 lint:
 	$(PYTHON) -m repro.analysis --deep src/repro \

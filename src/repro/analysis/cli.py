@@ -140,39 +140,45 @@ def _pick_scale_rules(select: Optional[str], disable: Optional[str]):
     return _filter_rules(scale_rules(), select, disable)
 
 
-def run_analysis(paths: List[str], rules=None) -> List[Finding]:
-    """Lint ``paths`` (or the repro package when empty)."""
-    return Analyzer(rules).analyze_paths(paths or [_default_target()])
+def _project(paths: List[str], project):
+    """``project``, or the tree under ``paths`` parsed into one."""
+    if project is not None:
+        return project
+    from repro.analysis.dataflow.symbols import build_project
+
+    return build_project(paths or [_default_target()])
+
+
+def run_analysis(paths: List[str], rules=None,
+                 project=None) -> List[Finding]:
+    """Run the per-file rules over ``paths`` (or the repro package).
+
+    ``project`` is an optional pre-built
+    :class:`~repro.analysis.dataflow.symbols.ProjectModel`: every pass
+    reads the same parsed trees and their indexes, so a caller running
+    several passes parses each file once and shares it.
+    """
+    return Analyzer(rules).analyze_project(_project(paths, project))
 
 
 def run_deep_analysis(paths: List[str], rules=None,
                       project=None) -> List[Finding]:
-    """Run the interprocedural pass over ``paths``.
-
-    ``project`` is an optional pre-built
-    :class:`~repro.analysis.dataflow.symbols.ProjectModel`; the deep,
-    shard and scale passes all ride the same symbol table, so callers
-    running more than one pass parse the tree once and share it.
-    """
+    """Run the interprocedural pass over ``paths``."""
     from repro.analysis.dataflow import analyze_project
     from repro.analysis.dataflow.taint import TaintEngine
 
-    engine = None if project is None else TaintEngine(project).run()
-    return analyze_project(paths or [_default_target()], rules=rules,
-                           engine=engine)
+    engine = TaintEngine(_project(paths, project)).run()
+    return analyze_project(paths, rules=rules, engine=engine)
 
 
 def run_shard_analysis(paths: List[str], rules=None,
                        inventory: Optional[str] = None,
                        project=None) -> List[Finding]:
     """Run the shard-affinity pass; optionally write the inventory."""
-    from repro.analysis.shard import analyze_shard, build_shard_model
+    from repro.analysis.shard import analyze_shard
     from repro.analysis.shard.model import ShardModel
 
-    if project is None:
-        model = build_shard_model(paths or [_default_target()])
-    else:
-        model = ShardModel(project)
+    model = ShardModel(_project(paths, project))
     findings = analyze_shard(paths, rules=rules, model=model)
     if inventory:
         from repro.analysis.shard.inventory import write_inventory
@@ -185,13 +191,10 @@ def run_scale_analysis(paths: List[str], rules=None,
                        inventory: Optional[str] = None,
                        project=None) -> List[Finding]:
     """Run the growth-dimension pass; optionally write the inventory."""
-    from repro.analysis.scale import analyze_scale, build_scale_model
+    from repro.analysis.scale import analyze_scale
     from repro.analysis.scale.model import ScaleModel
 
-    if project is None:
-        model = build_scale_model(paths or [_default_target()])
-    else:
-        model = ScaleModel(project)
+    model = ScaleModel(_project(paths, project))
     findings = analyze_scale(paths, rules=rules, model=model)
     if inventory:
         from repro.analysis.scale.inventory import write_inventory
@@ -254,16 +257,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     wants_shard = bool(args.shard and (shard or args.shard_inventory))
     wants_scale = bool(args.scale and (scale or args.scale_inventory))
     try:
-        findings = run_analysis(args.paths, rules) if rules else []
+        # Parse every file once; each pass reads the same trees.
+        from repro.analysis.dataflow.symbols import build_project
+
+        project = build_project(args.paths or [_default_target()])
+        findings = run_analysis(args.paths, rules, project=project) \
+            if rules else []
         merged = {(f.path, f.line, f.col, f.code, f.message)
                   for f in findings}
-        project = None
-        if wants_deep + wants_shard + wants_scale >= 2:
-            # The project-model passes all start from the same parsed
-            # symbol table; build it once instead of once per pass.
-            from repro.analysis.dataflow.symbols import build_project
-
-            project = build_project(args.paths or [_default_target()])
 
         def _fold(extra: List[Finding]) -> None:
             for finding in extra:

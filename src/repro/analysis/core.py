@@ -1,12 +1,15 @@
 """The simlint engine: findings, rule plugins, suppression, the analyzer.
 
 The engine is deliberately self-contained (stdlib ``ast`` only) so it can
-lint the simulation stack without importing it.  A :class:`Rule` declares
-the AST node types it cares about (``interests``); the :class:`Analyzer`
-walks each module exactly once and dispatches nodes to interested rules.
-Rules that need whole-module context (e.g. tracking which local names
-hold sets) implement :meth:`Rule.check_module` instead of — or in
-addition to — the per-node hook.
+lint the simulation stack without importing it.  Each module is walked
+exactly once, into an :class:`AstIndex` (node list, parent links,
+per-scope node slices) that every rule and every project pass reads
+instead of walking the tree again.  A :class:`Rule` declares the AST
+node types it cares about (``interests``); the :class:`Analyzer`
+dispatches the index's nodes to interested rules.  Rules that need
+whole-module context (e.g. tracking which local names hold sets)
+implement :meth:`Rule.check_module` instead of — or in addition to —
+the per-node hook.
 
 Suppression mirrors the classic lint idiom::
 
@@ -20,12 +23,11 @@ module.  Codes ("R1") and slugs ("global-random") are both accepted.
 from __future__ import annotations
 
 import ast
-import os
 import re
-import tokenize
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Type
 
 __all__ = [
+    "AstIndex",
     "Finding",
     "Rule",
     "RuleContext",
@@ -33,6 +35,7 @@ __all__ = [
     "analyze_source",
     "analyze_paths",
     "dotted_name",
+    "parse_error",
 ]
 
 #: Rule code used for files that do not parse.
@@ -78,18 +81,89 @@ class Finding:
         return "<Finding %s %s:%d>" % (self.code, self.path, self.line)
 
 
+#: Node types that open a scope: :meth:`AstIndex.own` stops at them.
+SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
+class AstIndex:
+    """One module's syntax tree, walked once and shared by every pass.
+
+    * ``nodes`` — every node, in ``ast.walk`` order;
+    * ``parents`` — child node -> parent node;
+    * :meth:`own` — the nodes of one scope (the module, or any def,
+      lambda or class in it) without descending into nested scopes, in
+      the stack-pop order simlint has always walked them, optionally
+      narrowed to some node types;
+    * :meth:`is_generator` — whether a scope yields.
+
+    Each scope's own nodes are a contiguous slice of one list, so the
+    index holds each node once, not once per scope.  Rules and passes
+    read it instead of calling ``ast.walk``.
+    """
+
+    def __init__(self, tree: ast.Module):
+        self.tree = tree
+        children: Dict[ast.AST, List[ast.AST]] = {}
+        self.parents: Dict[ast.AST, ast.AST] = {}
+        self.nodes: List[ast.AST] = [tree]
+        for node in self.nodes:  # grows while iterated: breadth-first
+            kids = list(ast.iter_child_nodes(node))
+            if kids:
+                children[node] = kids
+                for kid in kids:
+                    self.parents[kid] = node
+                self.nodes.extend(kids)
+        self._owned: List[ast.AST] = []
+        self._spans: Dict[ast.AST, Tuple[int, int]] = {}
+        self._generators: Set[ast.AST] = set()
+        scopes: List[ast.AST] = [tree]
+        for scope in scopes:  # grows while iterated, like ``nodes``
+            start = len(self._owned)
+            todo = list(children.get(scope, ()))
+            while todo:
+                node = todo.pop()
+                self._owned.append(node)
+                if isinstance(node, SCOPES):
+                    scopes.append(node)
+                else:
+                    if isinstance(node, (ast.Yield, ast.YieldFrom)):
+                        self._generators.add(scope)
+                    todo.extend(children.get(node, ()))
+            self._spans[scope] = (start, len(self._owned))
+
+    def own(self, scope: ast.AST, *types: Type[ast.AST]) -> List[ast.AST]:
+        """``scope``'s own nodes, or only those of the given ``types``."""
+        start, stop = self._spans[scope]
+        if not types:
+            return self._owned[start:stop]
+        return [node for node in self._owned[start:stop]
+                if isinstance(node, types)]
+
+    def nested(self, scope: ast.AST) -> List[ast.AST]:
+        """Every node under ``scope``, nested scopes included."""
+        found: List[ast.AST] = []
+        todo = [scope]
+        while todo:
+            for node in self.own(todo.pop()):
+                found.append(node)
+                if isinstance(node, SCOPES):
+                    todo.append(node)
+        return found
+
+    def is_generator(self, scope: ast.AST) -> bool:
+        """Does ``scope`` yield, not counting nested function bodies?"""
+        return scope in self._generators
+
+
 class RuleContext:
     """Per-module facts shared by every rule while one file is analyzed."""
 
-    def __init__(self, path: str, source: str, tree: ast.Module):
+    def __init__(self, path: str, source: str, index: AstIndex):
         self.path = path
         self.source = source
-        self.tree = tree
-        self.parents: Dict[ast.AST, ast.AST] = {}
-        for parent in ast.walk(tree):
-            for child in ast.iter_child_nodes(parent):
-                self.parents[child] = parent
-        self._generator_cache: Dict[ast.AST, bool] = {}  # simlint: disable=R23  one entry per function node in the analyzed file, freed with the context
+        self.index = index
+        self.tree = index.tree
+        self.parents = index.parents
 
     def enclosing_function(self, node: ast.AST) -> Optional[ast.AST]:
         """The nearest FunctionDef/AsyncFunctionDef containing ``node``."""
@@ -102,28 +176,12 @@ class RuleContext:
 
     def is_generator(self, func: ast.AST) -> bool:
         """True if ``func`` contains a yield of its own (a sim process)."""
-        if func not in self._generator_cache:
-            self._generator_cache[func] = _has_own_yield(func)
-        return self._generator_cache[func]
+        return self.index.is_generator(func)
 
     def in_simulation_process(self, node: ast.AST) -> bool:
         """True when ``node`` sits inside a generator function."""
         func = self.enclosing_function(node)
         return func is not None and self.is_generator(func)
-
-
-def _has_own_yield(func: ast.AST) -> bool:
-    """Does ``func`` yield, not counting nested function bodies?"""
-    todo: List[ast.AST] = list(ast.iter_child_nodes(func))
-    while todo:
-        node = todo.pop()
-        if isinstance(node, (ast.Yield, ast.YieldFrom)):
-            return True
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.Lambda)):
-            continue  # a nested def's yields belong to the nested def
-        todo.extend(ast.iter_child_nodes(node))
-    return False
 
 
 def dotted_name(node: ast.AST) -> Optional[str]:
@@ -195,6 +253,13 @@ def _tokens(spec: str) -> Set[str]:
             if token.split()}
 
 
+def parse_error(path: str, exc: SyntaxError) -> Finding:
+    """The one ``E0`` finding for a file that does not parse."""
+    return Finding(path, exc.lineno or 1, (exc.offset or 0) + 1,
+                   PARSE_ERROR, "parse-error",
+                   "file does not parse: %s" % exc.msg)
+
+
 class Analyzer:
     """Runs a rule set over source text, files, or directory trees."""
 
@@ -216,45 +281,74 @@ class Analyzer:
         try:
             tree = ast.parse(source, filename=path)
         except SyntaxError as exc:
-            return [Finding(path, exc.lineno or 1, (exc.offset or 0) + 1,
-                            PARSE_ERROR, "parse-error",
-                            "file does not parse: %s" % exc.msg)]
-        ctx = RuleContext(path, source, tree)
+            return [parse_error(path, exc)]
+        return self.analyze_module(path, source, AstIndex(tree))
+
+    def analyze_module(self, path: str, source: str,
+                       index: AstIndex) -> List[Finding]:
+        """Lint one parsed module through its index."""
+        ctx = RuleContext(path, source, index)
         findings: List[Finding] = []
-        for node in ast.walk(tree):
+        for node in index.nodes:
             for rule in self._dispatch.get(type(node), ()):
                 findings.extend(rule.check(node, ctx))
         for rule in self.rules:
-            findings.extend(rule.check_module(tree, ctx))
-        per_line, whole_file = _parse_suppressions(source)
-        findings = [f for f in findings
-                    if not _suppressed(f, per_line, whole_file)]
-        findings.sort(key=lambda f: f.sort_key)
-        return findings
-
-    def analyze_file(self, path: str) -> List[Finding]:
-        """Lint one file on disk."""
-        with tokenize.open(path) as handle:
-            source = handle.read()
-        return self.analyze_source(source, path=path)
+            findings.extend(rule.check_module(index.tree, ctx))
+        return unsuppressed(findings, {path: source})
 
     # -- trees ---------------------------------------------------------------
 
-    def analyze_paths(self, paths: Iterable[str]) -> List[Finding]:
-        """Lint files and/or directory trees (``.py`` files, sorted walk)."""
-        findings: List[Finding] = []
-        for path in paths:
-            if os.path.isdir(path):
-                for directory, dirnames, filenames in os.walk(path):
-                    dirnames.sort()
-                    for filename in sorted(filenames):
-                        if filename.endswith(".py"):
-                            findings.extend(self.analyze_file(
-                                os.path.join(directory, filename)))
-            else:
-                findings.extend(self.analyze_file(path))
+    def analyze_project(self, project) -> List[Finding]:
+        """Lint every file of a parsed
+        :class:`~repro.analysis.dataflow.symbols.ProjectModel`."""
+        findings = list(project.parse_errors.values())
+        for module in project.files.values():
+            findings.extend(self.analyze_module(module.path, module.source,
+                                                module.index))
         findings.sort(key=lambda f: f.sort_key)
         return findings
+
+    def analyze_paths(self, paths: Iterable[str]) -> List[Finding]:
+        """Lint files and/or directory trees (``.py`` files, sorted walk)."""
+        from repro.analysis.dataflow.symbols import build_project
+
+        return self.analyze_project(build_project(paths))
+
+
+def project_findings(project, rules: Iterable, check) -> List[Finding]:
+    """Finish one project pass (deep, shard or scale).
+
+    One ``E0`` per unparsable file, then ``check(rule)``'s findings for
+    each rule in code order with duplicates dropped, filtered through
+    the modules' suppression comments and sorted.
+    """
+    findings = [project.parse_errors[path]
+                for path in sorted(project.parse_errors)]
+    seen = set()
+    for rule in sorted(rules, key=lambda r: r.code):
+        for finding in check(rule):
+            key = (finding.path, finding.line, finding.col, finding.code,
+                   finding.message)
+            if key not in seen:
+                seen.add(key)
+                findings.append(finding)
+    return unsuppressed(findings, {module.path: module.source
+                                   for module in project.files.values()})
+
+
+def unsuppressed(findings: List[Finding],
+                 sources: Dict[str, str]) -> List[Finding]:
+    """``findings`` minus those their file's comments suppress, sorted."""
+    parsed: Dict[str, Tuple[Dict[int, Set[str]], Set[str]]] = {}
+    kept = []
+    for finding in findings:
+        if finding.path not in parsed:
+            parsed[finding.path] = _parse_suppressions(
+                sources.get(finding.path, ""))
+        if not _suppressed(finding, *parsed[finding.path]):
+            kept.append(finding)
+    kept.sort(key=lambda f: f.sort_key)
+    return kept
 
 
 def _suppressed(finding: Finding, per_line: Dict[int, Set[str]],

@@ -22,12 +22,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional
 
-from repro.analysis.core import (
-    PARSE_ERROR,
-    Finding,
-    _parse_suppressions,
-    _suppressed,
-)
+from repro.analysis.core import Finding, project_findings
 from repro.analysis.dataflow.callgraph import CallGraph, resolve_call
 from repro.analysis.dataflow.rules import (
     DeepRule,
@@ -66,32 +61,6 @@ def analyze_project(paths: Iterable[str],
     """
     if engine is None:
         engine = build_engine(paths)
-    project = engine.project
-    findings: List[Finding] = []
-    for path in sorted(project.parse_errors):
-        lineno, message = project.parse_errors[path]
-        findings.append(Finding(path, lineno, 1, PARSE_ERROR,
-                                "parse-error",
-                                "file does not parse: %s" % message))
-    if rules is None:
-        rules = deep_rules()
-    seen = set()
-    for rule in sorted(rules, key=lambda r: r.code):
-        for finding in rule.check_project(engine):
-            key = (finding.path, finding.line, finding.col, finding.code,
-                   finding.message)
-            if key not in seen:
-                seen.add(key)
-                findings.append(finding)
-    # Apply per-module suppression comments.
-    suppressions = {}
-    for module in project.modules.values():
-        suppressions[module.path] = _parse_suppressions(module.source)
-    kept = []
-    for finding in findings:
-        per_line, whole_file = suppressions.get(finding.path,
-                                                ({}, set()))
-        if not _suppressed(finding, per_line, whole_file):
-            kept.append(finding)
-    kept.sort(key=lambda f: f.sort_key)
-    return kept
+    return project_findings(engine.project,
+                            deep_rules() if rules is None else rules,
+                            lambda rule: rule.check_project(engine))

@@ -18,8 +18,9 @@ resolved edge is a real possible edge) and fast enough to run on every
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
+from repro.analysis.core import dotted_name
 from repro.analysis.dataflow.symbols import (
     ClassInfo,
     FunctionInfo,
@@ -27,8 +28,7 @@ from repro.analysis.dataflow.symbols import (
     ProjectModel,
 )
 
-__all__ = ["Resolution", "CallGraph", "resolve_call", "iter_calls",
-           "own_nodes"]
+__all__ = ["Resolution", "CallGraph", "resolve_call", "iter_calls"]
 
 
 class Resolution:
@@ -56,17 +56,6 @@ class Resolution:
         return "<Resolution external=%s>" % self.external
 
 
-def _dotted(node: ast.AST) -> Optional[str]:
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
-
-
 def resolve_call(project: ProjectModel, caller: FunctionInfo,
                  call: ast.Call) -> Resolution:
     """Resolve ``call`` as written inside ``caller``."""
@@ -77,7 +66,7 @@ def resolve_call(project: ProjectModel, caller: FunctionInfo,
         return _resolve_name(project, module, func.id)
 
     if isinstance(func, ast.Attribute):
-        dotted = _dotted(func)
+        dotted = dotted_name(func)
         if dotted is None:
             return Resolution()
         head, _, rest = dotted.partition(".")
@@ -128,23 +117,9 @@ def _constructor(project: ProjectModel, klass: ClassInfo) -> Resolution:
                       is_constructor=True)
 
 
-def own_nodes(scope: ast.AST) -> Iterator[ast.AST]:
-    """Walk a function body without descending into nested scopes."""
-    todo: List[ast.AST] = list(ast.iter_child_nodes(scope))
-    while todo:
-        node = todo.pop()
-        yield node
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.Lambda, ast.ClassDef)):
-            continue
-        todo.extend(ast.iter_child_nodes(node))
-
-
-def iter_calls(func: FunctionInfo) -> Iterator[ast.Call]:
+def iter_calls(func: FunctionInfo) -> List[ast.Call]:
     """Every call expression belonging to ``func``'s own body."""
-    for node in own_nodes(func.node):
-        if isinstance(node, ast.Call):
-            yield node
+    return func.module.index.own(func.node, ast.Call)
 
 
 class CallGraph:

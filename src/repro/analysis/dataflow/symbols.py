@@ -20,7 +20,10 @@ from __future__ import annotations
 import ast
 import os
 import tokenize
-from typing import Dict, Iterable, List, Optional, Tuple
+import weakref
+from typing import Dict, Iterable, List, Optional
+
+from repro.analysis.core import AstIndex, Finding, dotted_name, parse_error
 
 __all__ = ["FunctionInfo", "ClassInfo", "ModuleInfo", "ProjectModel",
            "module_name_for", "build_project"]
@@ -38,22 +41,38 @@ def module_name_for(path: str) -> str:
     return ".".join(reversed(parts)) or stem
 
 
-class FunctionInfo:
+class _InModule:
+    """A definition's weak link back to the module that owns it.
+
+    A module holds its functions and classes; a strong link back would
+    make every module a reference cycle, so a dropped project (trees,
+    indexes and all) would wait for the cyclic garbage collector
+    instead of being freed at once.
+    """
+
+    __slots__ = ()
+
+    @property
+    def module(self) -> "ModuleInfo":
+        return self._module()
+
+
+class FunctionInfo(_InModule):
     """One function or method definition."""
 
-    __slots__ = ("name", "qualname", "module", "node", "class_name",
+    __slots__ = ("name", "qualname", "_module", "node", "class_name",
                  "is_generator", "params")
 
     def __init__(self, name: str, module: "ModuleInfo",
                  node: ast.AST, class_name: Optional[str] = None):
         self.name = name
-        self.module = module
+        self._module = weakref.ref(module)
         self.node = node
         self.class_name = class_name
         local = name if class_name is None else "%s.%s" % (class_name, name)
         #: Fully qualified: ``pkg.mod.func`` or ``pkg.mod.Class.method``.
         self.qualname = "%s.%s" % (module.name, local)
-        self.is_generator = _has_own_yield(node)
+        self.is_generator = module.index.is_generator(node)
         self.params = [arg.arg for arg in node.args.args]
 
     @property
@@ -64,19 +83,19 @@ class FunctionInfo:
         return "<FunctionInfo %s>" % self.qualname
 
 
-class ClassInfo:
+class ClassInfo(_InModule):
     """One class definition and the dotted names of its bases."""
 
-    __slots__ = ("name", "qualname", "module", "node", "bases")
+    __slots__ = ("name", "qualname", "_module", "node", "bases")
 
     def __init__(self, name: str, module: "ModuleInfo", node: ast.ClassDef):
         self.name = name
-        self.module = module
+        self._module = weakref.ref(module)
         self.node = node
         self.qualname = "%s.%s" % (module.name, name)
         self.bases: List[str] = []
         for base in node.bases:
-            dotted = _dotted(base)
+            dotted = dotted_name(base)
             if dotted:
                 self.bases.append(dotted)
 
@@ -85,13 +104,15 @@ class ClassInfo:
 
 
 class ModuleInfo:
-    """One parsed module: tree, imports, functions, classes."""
+    """One parsed module: tree, its index, imports, functions, classes."""
 
     def __init__(self, name: str, path: str, source: str, tree: ast.Module):
         self.name = name
         self.path = path
         self.source = source
         self.tree = tree
+        #: The one walk of ``tree`` every pass reads (see AstIndex).
+        self.index = AstIndex(tree)
         #: Local alias -> dotted target ("np" -> "numpy",
         #: "heappush" -> "heapq.heappush").
         self.imports: Dict[str, str] = {}
@@ -168,14 +189,17 @@ class ProjectModel:
 
     def __init__(self) -> None:
         self.modules: Dict[str, ModuleInfo] = {}
+        #: Path -> ModuleInfo for every parsed file, in build order.
+        self.files: Dict[str, ModuleInfo] = {}
         #: Fully qualified name -> FunctionInfo, for every function.
         self.functions: Dict[str, FunctionInfo] = {}
         self.classes: Dict[str, ClassInfo] = {}
-        #: Modules that failed to parse: path -> (lineno, message).
-        self.parse_errors: Dict[str, Tuple[int, str]] = {}
+        #: Files that failed to parse: path -> their ``E0`` finding.
+        self.parse_errors: Dict[str, Finding] = {}
 
     def add_module(self, module: ModuleInfo) -> None:
         self.modules[module.name] = module
+        self.files[module.path] = module
         for info in module.functions.values():
             self.functions[info.qualname] = info
         for klass in module.classes.values():
@@ -186,7 +210,7 @@ class ProjectModel:
         try:
             tree = ast.parse(source, filename=path)
         except SyntaxError as exc:
-            self.parse_errors[path] = (exc.lineno or 1, exc.msg or "")
+            self.parse_errors[path] = parse_error(path, exc)
             return None
         module = ModuleInfo(module_name_for(path), path, source, tree)
         self.add_module(module)
@@ -256,28 +280,3 @@ def build_project(paths: Iterable[str]) -> ProjectModel:
 def _read(path: str) -> str:
     with tokenize.open(path) as handle:
         return handle.read()
-
-
-def _dotted(node: ast.AST) -> Optional[str]:
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
-
-
-def _has_own_yield(func: ast.AST) -> bool:
-    """Does ``func`` yield, not counting nested function bodies?"""
-    todo: List[ast.AST] = list(ast.iter_child_nodes(func))
-    while todo:
-        node = todo.pop()
-        if isinstance(node, (ast.Yield, ast.YieldFrom)):
-            return True
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.Lambda)):
-            continue
-        todo.extend(ast.iter_child_nodes(node))
-    return False

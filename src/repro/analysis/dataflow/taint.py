@@ -30,11 +30,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.analysis.dataflow.callgraph import (
-    Resolution,
-    own_nodes,
-    resolve_call,
-)
+from repro.analysis.dataflow.callgraph import Resolution, resolve_call
 from repro.analysis.dataflow.symbols import FunctionInfo, ProjectModel
 
 __all__ = ["WALLCLOCK", "ENTROPY", "WORKER", "UNORDERED",
@@ -84,6 +80,11 @@ _EVENT_METHODS = frozenset({"timeout", "event", "all_of", "any_of",
                             "request"})
 #: Event classes by bare name (kernel + resources).
 _EVENT_CLASSES = frozenset({"Event", "Timeout", "Condition", "Request"})
+
+#: The node types :meth:`TaintEngine._walk_body` acts on: the local
+#: passes iterate only these, not every node of a body.
+_BODY_NODES = (ast.Assign, ast.AnnAssign, ast.AugAssign, ast.For,
+               ast.AsyncFor, ast.withitem, ast.Return, ast.Call)
 
 #: Constructors that fork a generator; called with stream draws they
 #: create a non-derivable child (R12).
@@ -242,16 +243,15 @@ class TaintEngine:
         a reseeder) is added during the fixpoint.
         """
         for summary in self.summaries.values():
-            params = set(summary.info.params)
-            for node in own_nodes(summary.info.node):
-                if not isinstance(node, ast.Call):
-                    continue
+            info = summary.info
+            params = set(info.params)
+            for node in info.module.index.own(info.node, ast.Call):
                 func = node.func
                 if (isinstance(func, ast.Attribute) and func.attr == "seed"
                         and isinstance(func.value, ast.Name)
                         and func.value.id in params):
                     summary.reseed_params.add(func.value.id)
-                elif self._is_fork_constructor(summary.info, node):
+                elif self._is_fork_constructor(info, node):
                     for arg in list(node.args) + [kw.value
                                                   for kw in node.keywords]:
                         for name in _drawn_names(arg):
@@ -277,21 +277,23 @@ class TaintEngine:
             state.env[param] = set(summary.param_taint.get(param, ()))
         state.streams |= summary.stream_params
         state.setlike |= summary.setlike_params
+        body = info.module.index.own(info.node, *_BODY_NODES)
         # Flow-insensitive local fixpoint: a couple of passes settle
         # chains like ``a = src(); b = a; return b``.
         for _pass in range(8):
             before = (dict((k, frozenset(v))
                            for k, v in state.env.items()),
                       frozenset(state.streams), frozenset(state.setlike))
-            self._walk_body(summary, state)
+            self._walk_body(summary, state, body)
             after = (dict((k, frozenset(v)) for k, v in state.env.items()),
                      frozenset(state.streams), frozenset(state.setlike))
             if before == after:
                 break
 
-    def _walk_body(self, summary: FunctionSummary, state: _FnState) -> None:
+    def _walk_body(self, summary: FunctionSummary, state: _FnState,
+                   body: List[ast.AST]) -> None:
         info = summary.info
-        for node in own_nodes(info.node):
+        for node in body:
             if isinstance(node, ast.Assign):
                 self._assign(summary, state, node.targets, node.value)
             elif isinstance(node, ast.AnnAssign) and node.value is not None:
@@ -572,19 +574,18 @@ class TaintEngine:
             state.env[param] = set(summary.param_taint.get(param, ()))
         state.streams |= summary.stream_params
         state.setlike |= summary.setlike_params
+        index = info.module.index
+        body = index.own(info.node, *_BODY_NODES)
         for _pass in range(8):
             before = dict((k, frozenset(v)) for k, v in state.env.items())
-            self._walk_body(summary, state)
+            self._walk_body(summary, state, body)
             if dict((k, frozenset(v))
                     for k, v in state.env.items()) == before:
                 break
-        bare = {id(node.value) for node in own_nodes(info.node)
-                if isinstance(node, ast.Expr)
-                and isinstance(node.value, ast.Call)}
+        bare = {id(node.value) for node in index.own(info.node, ast.Expr)
+                if isinstance(node.value, ast.Call)}
         sites: List[CallSite] = []
-        for node in own_nodes(info.node):
-            if not isinstance(node, ast.Call):
-                continue
+        for node in index.own(info.node, ast.Call):
             func = node.func
             func_attr = func.attr if isinstance(func, ast.Attribute) \
                 else None

@@ -55,18 +55,6 @@ def _iterated_exprs(node: ast.AST) -> List[ast.AST]:
     return []
 
 
-def _own_nodes(scope: ast.AST) -> Iterator[ast.AST]:
-    """Walk a scope without descending into nested scopes."""
-    todo: List[ast.AST] = list(ast.iter_child_nodes(scope))
-    while todo:
-        node = todo.pop()
-        yield node
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.Lambda, ast.ClassDef)):
-            continue
-        todo.extend(ast.iter_child_nodes(node))
-
-
 @register
 class SetIterationRule(Rule):
     """Flag set iteration feeding simulation logic."""
@@ -87,26 +75,27 @@ class SetIterationRule(Rule):
 
     def check_module(self, tree: ast.Module,
                      ctx: RuleContext) -> Iterator[Finding]:
+        index = ctx.index
         scopes: List[ast.AST] = [tree]
-        scopes.extend(node for node in ast.walk(tree)
+        scopes.extend(node for node in index.nodes
                       if isinstance(node, (ast.FunctionDef,
                                            ast.AsyncFunctionDef)))
         for scope in scopes:
-            yield from self._check_scope(scope, ctx)
-        for node in ast.walk(tree):
+            yield from self._check_scope(index.own(scope), ctx)
+        for node in index.nodes:
             if isinstance(node, ast.ClassDef):
-                yield from self._check_class(node, ctx)
+                yield from self._check_class(index.nested(node), ctx)
 
-    def _check_scope(self, scope: ast.AST,
+    def _check_scope(self, nodes: List[ast.AST],
                      ctx: RuleContext) -> Iterator[Finding]:
         set_names: Set[str] = set()
-        for node in _own_nodes(scope):
+        for node in nodes:
             for name, value in _assignments(node):
                 if _is_set_expr(value):
                     set_names.add(name)
         if not set_names:
             return
-        for node in _own_nodes(scope):
+        for node in nodes:
             for expr in _iterated_exprs(node):
                 expr = _unwrap(expr)
                 if isinstance(expr, ast.Name) and expr.id in set_names:
@@ -116,16 +105,16 @@ class SetIterationRule(Rule):
                         "hash-dependent; use sorted() or an ordered dict"
                         % expr.id)
 
-    def _check_class(self, klass: ast.ClassDef,
+    def _check_class(self, nodes: List[ast.AST],
                      ctx: RuleContext) -> Iterator[Finding]:
         set_attrs: Set[str] = set()
-        for node in ast.walk(klass):
+        for node in nodes:
             for name, value in _self_assignments(node):
                 if _is_set_expr(value):
                     set_attrs.add(name)
         if not set_attrs:
             return
-        for node in ast.walk(klass):
+        for node in nodes:
             for expr in _iterated_exprs(node):
                 expr = _unwrap(expr)
                 if (isinstance(expr, ast.Attribute)

@@ -24,7 +24,7 @@ inline (``# simlint: disable=R21``).
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Set
+from typing import Iterator, List, Set
 
 from repro.analysis.core import Finding, Rule, RuleContext, dotted_name
 from repro.analysis.rules import register
@@ -43,10 +43,10 @@ def _is_world_construction(node: ast.AST) -> bool:
     return dotted is not None and dotted.rsplit(".", 1)[-1] == "ShardWorld"
 
 
-def _world_names(tree: ast.Module) -> Set[str]:
+def _world_names(nodes: List[ast.AST]) -> Set[str]:
     """Names bound to a ``ShardWorld(...)`` anywhere in the module."""
     names: Set[str] = set()
-    for node in ast.walk(tree):
+    for node in nodes:
         if isinstance(node, ast.Assign) and _is_world_construction(node.value):
             for target in node.targets:
                 if isinstance(target, ast.Name):
@@ -69,8 +69,8 @@ class CrossShardAccessRule(Rule):
 
     def check_module(self, tree: ast.Module,
                      ctx: RuleContext) -> Iterator[Finding]:
-        worlds = _world_names(tree)
-        for node in ast.walk(tree):
+        worlds = _world_names(ctx.index.nodes)
+        for node in ctx.index.nodes:
             if not (isinstance(node, ast.Attribute) and node.attr == "sim"):
                 continue
             if not self._is_world_handle(node.value, worlds):

@@ -51,6 +51,7 @@ import ast
 import re
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
+from repro.analysis.core import dotted_name
 from repro.analysis.dataflow.callgraph import CallGraph
 from repro.analysis.dataflow.symbols import (
     FunctionInfo,
@@ -138,6 +139,14 @@ _DRAIN_SEEDS = frozenset({
     ("Event", "succeed"), ("Event", "fail"), ("Event", "_process"),
     ("Process", "_resume"), ("Condition", "_check"),
 })
+
+#: The node types the use-site scan records (grow, shrink, scan,
+#: membership, sort and rebuild sites) ...
+_SCAN_NODES = (ast.Call, ast.Assign, ast.Delete, ast.For, ast.ListComp,
+               ast.SetComp, ast.DictComp, ast.GeneratorExp, ast.Compare)
+#: ... and the allocations it records inside kernel drain loops.
+_ALLOC_NODES = (ast.Dict, ast.List, ast.Set, ast.Lambda, ast.FunctionDef,
+                ast.AsyncFunctionDef)
 
 #: Method names the name-based hot closure never follows: container and
 #: stdlib verbs that would connect everything to everything.
@@ -409,7 +418,8 @@ class ScaleModel:
             if info.class_name is None:
                 continue
             owner = "%s.%s" % (module.name, info.class_name)
-            for node in _own_nodes(info.node):
+            for node in module.index.own(info.node, ast.Assign,
+                                         ast.AnnAssign):
                 pairs: List[Tuple[ast.AST, ast.AST]] = []
                 if isinstance(node, ast.Assign):
                     for target in node.targets:
@@ -465,7 +475,7 @@ class ScaleModel:
         if isinstance(value, (ast.Set, ast.SetComp)):
             return "set"
         if isinstance(value, ast.Call):
-            dotted = _dotted(value.func)
+            dotted = dotted_name(value.func)
             if dotted is not None:
                 expanded = self.project.expand(module, dotted)
                 kind = _CONTAINER_CONSTRUCTORS.get(expanded)
@@ -490,43 +500,40 @@ class ScaleModel:
                 self._scan_function(module.functions[key])
 
     def _scan_function(self, info: FunctionInfo) -> None:
-        parents = _parent_map(info.node)
+        index = info.module.index
         aliases = self._collect_aliases(info)
         is_kernel = info.qualname in self.kernel_hot
         is_hot = is_kernel or info.qualname in self.hot
-        for node in _own_nodes(info.node):
-            in_loop = _in_loop(node, parents, info.node)
+        types = (_SCAN_NODES + _ALLOC_NODES) if is_kernel else _SCAN_NODES
+        for node in index.own(info.node, *types):
+            in_loop = _in_loop(node, index.parents, info.node)
             self._scan_node(info, node, aliases, in_loop)
             if is_kernel:
                 self._scan_kernel_alloc(info, node, in_loop)
             if is_hot:
-                self._scan_rebuild(info, node, parents)
+                self._scan_rebuild(info, node, index.parents)
         # Nested defs (spawned closures, callbacks) belong lexically to
         # this function and are not FunctionInfo entries of their own;
         # their grow/shrink/scan sites count toward the same
         # collections, or an eviction hiding in a ``finally`` of a
         # spawned fetcher would be invisible.
-        queue = [node for node in _own_nodes(info.node)
-                 if isinstance(node, (ast.FunctionDef,
-                                      ast.AsyncFunctionDef))]
+        defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+        queue = index.own(info.node, *defs)
         while queue:
             scope = queue.pop()
-            nested_parents = _parent_map(scope)
-            for node in _own_nodes(scope):
-                if isinstance(node, (ast.FunctionDef,
-                                     ast.AsyncFunctionDef)):
+            for node in index.own(scope, *(defs + _SCAN_NODES)):
+                if isinstance(node, defs):
                     queue.append(node)
                     continue
-                in_loop = _in_loop(node, nested_parents, scope)
+                in_loop = _in_loop(node, index.parents, scope)
                 self._scan_node(info, node, aliases, in_loop)
 
     def _collect_aliases(self, info: FunctionInfo) \
             -> Dict[str, TrackedCollection]:
         """Locals bound to a tracked collection (one step, no transit)."""
         aliases: Dict[str, TrackedCollection] = {}
-        for node in _own_nodes(info.node):
-            if not (isinstance(node, ast.Assign)
-                    and len(node.targets) == 1
+        for node in info.module.index.own(info.node, ast.Assign):
+            if not (len(node.targets) == 1
                     and isinstance(node.targets[0], ast.Name)):
                 continue
             resolved = self._resolve(info, {}, node.value)
@@ -556,7 +563,7 @@ class ScaleModel:
                             UseSite(info, module, node, func.attr, in_loop))
             elif isinstance(func, ast.Name):
                 self._scan_call_by_name(info, node, func, aliases, in_loop)
-            dotted = _dotted(func)
+            dotted = dotted_name(func)
             if dotted is not None:
                 expanded = self.project.expand(module, dotted)
                 if expanded in ("heapq.heappush", "heapq.heapreplace") \
@@ -666,7 +673,7 @@ class ScaleModel:
                 target_label = target.id
             elif isinstance(target, ast.Attribute) and \
                     _CACHE_NAME_RE.search(target.attr):
-                target_label = _dotted(target) or target.attr
+                target_label = dotted_name(target) or target.attr
         if target_label is None:
             return
         if not self._is_rebuild_value(node.value):
@@ -681,7 +688,7 @@ class ScaleModel:
         if isinstance(value, ast.Assign):  # chained a = b = rebuild()
             return self._is_rebuild_value(value.value)
         if isinstance(value, ast.Call):
-            dotted = _dotted(value.func)
+            dotted = dotted_name(value.func)
             if dotted is not None and \
                     _REBUILD_RE.search(dotted.rsplit(".", 1)[-1]):
                 return True
@@ -700,7 +707,7 @@ class ScaleModel:
             if expr.id in info.params:
                 return None
             return self.collections.get((info.module.name, expr.id))
-        dotted = _dotted(expr)
+        dotted = dotted_name(expr)
         if dotted is None:
             return None
         parts = dotted.split(".")
@@ -801,29 +808,6 @@ def build_scale_model(paths: Iterable[str]) -> ScaleModel:
 
 # -- AST helpers -----------------------------------------------------------
 
-def _own_nodes(scope: ast.AST):
-    """Every node in ``scope``, not descending into nested defs."""
-    todo = list(ast.iter_child_nodes(scope))
-    while todo:
-        node = todo.pop()
-        yield node
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.Lambda, ast.ClassDef)):
-            continue
-        todo.extend(ast.iter_child_nodes(node))
-
-
-def _parent_map(scope: ast.AST) -> Dict[ast.AST, ast.AST]:
-    parents: Dict[ast.AST, ast.AST] = {}
-    todo = [scope]
-    while todo:
-        node = todo.pop()
-        for child in ast.iter_child_nodes(node):
-            parents[child] = node
-            todo.append(child)
-    return parents
-
-
 def _in_loop(node: ast.AST, parents: Dict[ast.AST, ast.AST],
              stop: ast.AST) -> bool:
     """Is ``node`` (lexically) inside a loop or comprehension?"""
@@ -891,14 +875,3 @@ def _is_self_attr(node: ast.AST) -> bool:
     return (isinstance(node, ast.Attribute)
             and isinstance(node.value, ast.Name)
             and node.value.id == "self")
-
-
-def _dotted(node: ast.AST) -> Optional[str]:
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None

@@ -18,12 +18,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional
 
-from repro.analysis.core import (
-    PARSE_ERROR,
-    Finding,
-    _parse_suppressions,
-    _suppressed,
-)
+from repro.analysis.core import Finding, project_findings
 from repro.analysis.shard.model import (
     CROSSING,
     GLOBAL,
@@ -56,31 +51,6 @@ def analyze_shard(paths: Iterable[str],
     """
     if model is None:
         model = build_shard_model(paths)
-    project = model.project
-    findings: List[Finding] = []
-    for path in sorted(project.parse_errors):
-        lineno, message = project.parse_errors[path]
-        findings.append(Finding(path, lineno, 1, PARSE_ERROR,
-                                "parse-error",
-                                "file does not parse: %s" % message))
-    if rules is None:
-        rules = shard_rules()
-    seen = set()
-    for rule in sorted(rules, key=lambda r: r.code):
-        for finding in rule.check_model(model):
-            key = (finding.path, finding.line, finding.col, finding.code,
-                   finding.message)
-            if key not in seen:
-                seen.add(key)
-                findings.append(finding)
-    suppressions = {}
-    for module in project.modules.values():
-        suppressions[module.path] = _parse_suppressions(module.source)
-    kept = []
-    for finding in findings:
-        per_line, whole_file = suppressions.get(finding.path,
-                                                ({}, set()))
-        if not _suppressed(finding, per_line, whole_file):
-            kept.append(finding)
-    kept.sort(key=lambda f: f.sort_key)
-    return kept
+    return project_findings(model.project,
+                            shard_rules() if rules is None else rules,
+                            lambda rule: rule.check_model(model))

@@ -41,6 +41,7 @@ import ast
 import re
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
+from repro.analysis.core import dotted_name
 from repro.analysis.dataflow.symbols import (
     ClassInfo,
     FunctionInfo,
@@ -239,7 +240,7 @@ class ShardModel:
         for arg in getattr(func.args, "args", []):
             if arg.arg != param or arg.annotation is None:
                 continue
-            dotted = _dotted(arg.annotation)
+            dotted = dotted_name(arg.annotation)
             if dotted is None:
                 return None
             expanded = self.project.expand(module, dotted)
@@ -300,7 +301,7 @@ class ShardModel:
         if isinstance(value, (ast.Set, ast.SetComp)):
             return "set"
         if isinstance(value, ast.Call):
-            dotted = _dotted(value.func)
+            dotted = dotted_name(value.func)
             if dotted is not None:
                 expanded = self.project.expand(module, dotted)
                 return _MUTABLE_CONSTRUCTORS.get(expanded)
@@ -319,7 +320,7 @@ class ShardModel:
                           decorator: ast.AST) -> Optional[CacheSite]:
         call = decorator if isinstance(decorator, ast.Call) else None
         target = call.func if call is not None else decorator
-        dotted = _dotted(target)
+        dotted = dotted_name(target)
         if dotted is None:
             return None
         expanded = module.imports.get(dotted,
@@ -346,13 +347,13 @@ class ShardModel:
                 continue
             qualname = "%s.%s" % (module.name, info.class_name)
             count = self.self_writes.get(qualname, 0)
-            for node in _own_nodes(info.node):
-                if isinstance(node, (ast.Assign, ast.AugAssign)):
-                    targets = node.targets \
-                        if isinstance(node, ast.Assign) else [node.target]
-                    for target in targets:
-                        if _is_self_attr(target):
-                            count += 1
+            for node in module.index.own(info.node, ast.Assign,
+                                         ast.AugAssign):
+                targets = node.targets \
+                    if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    if _is_self_attr(target):
+                        count += 1
             self.self_writes[qualname] = count
 
     # -- mutation scan -----------------------------------------------------
@@ -370,12 +371,12 @@ class ShardModel:
                     params: Optional[Set[str]] = None) -> None:
         declared_global: Set[str] = set()
         local_names: Set[str] = set(params or ())
-        nodes = list(_own_nodes(scope))
+        index = module.index
         if is_function:
-            for node in nodes:
-                if isinstance(node, ast.Global):
-                    declared_global.update(node.names)
-            for node in nodes:
+            for node in index.own(scope, ast.Global):
+                declared_global.update(node.names)
+            for node in index.own(scope, ast.Assign, ast.AugAssign, ast.For,
+                                  ast.comprehension):
                 if isinstance(node, (ast.Assign, ast.AugAssign)):
                     targets = node.targets \
                         if isinstance(node, ast.Assign) else [node.target]
@@ -383,9 +384,8 @@ class ShardModel:
                         if isinstance(target, ast.Name) and \
                                 target.id not in declared_global:
                             local_names.add(target.id)
-                elif isinstance(node, (ast.For, ast.comprehension)):
-                    target = node.target
-                    for leaf in ast.walk(target):
+                else:
+                    for leaf in ast.walk(node.target):
                         if isinstance(leaf, ast.Name):
                             local_names.add(leaf.id)
 
@@ -394,7 +394,8 @@ class ShardModel:
                 return True
             return name in declared_global or name not in local_names
 
-        for node in nodes:
+        for node in index.own(scope, ast.Assign, ast.AugAssign, ast.Delete,
+                              ast.Call):
             self._scan_node(module, node, is_function, declared_global,
                             refers_to_module)
 
@@ -437,7 +438,7 @@ class ShardModel:
                       node: ast.AST, how: str, refers_to_module,
                       counters_only: bool = False) -> None:
         """Attribute/Name chain -> tracked location, if any."""
-        dotted = _dotted(base)
+        dotted = dotted_name(base)
         if dotted is None:
             return
         parts = dotted.split(".")
@@ -502,33 +503,10 @@ def _toplevel(body: Iterable[ast.AST]) -> Iterable[ast.AST]:
             yield node
 
 
-def _own_nodes(scope: ast.AST):
-    """Every node in ``scope``, not descending into nested defs."""
-    todo = list(ast.iter_child_nodes(scope))
-    while todo:
-        node = todo.pop()
-        yield node
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.Lambda, ast.ClassDef)):
-            continue
-        todo.extend(ast.iter_child_nodes(node))
-
-
 def _is_self_attr(node: ast.AST) -> bool:
     return (isinstance(node, ast.Attribute)
             and isinstance(node.value, ast.Name)
             and node.value.id == "self")
-
-
-def _dotted(node: ast.AST) -> Optional[str]:
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
 
 
 def _lru_maxsize(call: ast.Call) -> Tuple[Optional[int], bool]:
@@ -554,7 +532,7 @@ def _is_frozen_dataclass(project: ProjectModel, module: ModuleInfo,
     for decorator in klass.node.decorator_list:
         call = decorator if isinstance(decorator, ast.Call) else None
         target = call.func if call is not None else decorator
-        dotted = _dotted(target)
+        dotted = dotted_name(target)
         if dotted is None:
             continue
         expanded = module.imports.get(dotted,

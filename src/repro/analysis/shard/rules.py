@@ -42,7 +42,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator, List, Optional, Type
 
-from repro.analysis.core import Finding
+from repro.analysis.core import Finding, dotted_name
 from repro.analysis.shard.model import (
     HOST,
     SITE,
@@ -50,9 +50,7 @@ from repro.analysis.shard.model import (
     MutableLocation,
     ShardModel,
     _MUTATOR_METHODS,
-    _dotted,
     _is_self_attr,
-    _own_nodes,
 )
 
 __all__ = ["ShardRule", "register_shard", "shard_rules",
@@ -170,7 +168,8 @@ class CrossEntityDirectMutationRule(ShardRule):
         foreign = _foreign_params(model, module, family, info)
         if not foreign:
             return
-        for node in _own_nodes(info.node):
+        for node in module.index.own(info.node, ast.Assign, ast.AugAssign,
+                                     ast.Call):
             target: Optional[ast.AST] = None
             verb = "writes"
             if isinstance(node, (ast.Assign, ast.AugAssign)):
@@ -293,7 +292,8 @@ class NonMergeableAccumulatorRule(ShardRule):
         info = klass.module.functions.get("%s.%s" % (klass.name, name))
         if info is None:
             return False
-        for node in _own_nodes(info.node):
+        for node in info.module.index.own(info.node, ast.AugAssign,
+                                          ast.Call):
             if isinstance(node, ast.AugAssign) and \
                     _is_self_attr(node.target):
                 return True
@@ -327,16 +327,15 @@ class SharedEventQueueEscapeRule(ShardRule):
                 info = module.functions[key]
                 foreign = _foreign_params(model, module, family, info)
                 params = set(info.params) - {"self", "cls"}
-                for node in _own_nodes(info.node):
-                    if not (isinstance(node, ast.Call) and
-                            isinstance(node.func, ast.Attribute)):
+                for node in module.index.own(info.node, ast.Call):
+                    if not isinstance(node.func, ast.Attribute):
                         continue
                     yield from self._check_call(module, family, info,
                                                 node, params, foreign)
 
     def _check_call(self, module, family, info, node: ast.Call,
                     params, foreign) -> Iterator[Finding]:
-        dotted = _dotted(node.func)
+        dotted = dotted_name(node.func)
         if dotted is None:
             return
         parts = dotted.split(".")
