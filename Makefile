@@ -158,13 +158,19 @@ record-smoke:
 	rm -f .record-smoke-a.jsonl .record-smoke-b.jsonl
 	$(PYTHON) -m pytest -x -q tests/obs/test_recorder.py
 
-# Model-layer fast paths must be invisible: regenerate Table 2 at
-# seed 42 and byte-compare it against the committed golden (recorded
-# before the fast paths landed — see docs/performance.md).
+# Model-layer fast paths must be invisible: regenerate Table 2, Table 1
+# and the fleet run at seed 42 and byte-compare each against its
+# committed golden (each recorded before the fast paths that touch it
+# landed — see docs/performance.md).
 golden-guard:
 	$(PYTHON) -m repro table2 --seed 42 > .golden-guard-table2.txt
 	cmp benchmarks/goldens/table2-seed42.txt .golden-guard-table2.txt
-	rm -f .golden-guard-table2.txt
+	$(PYTHON) -m repro table1 --seed 42 > .golden-guard-table1.txt
+	cmp benchmarks/goldens/table1-seed42.txt .golden-guard-table1.txt
+	$(PYTHON) -m repro fleet --seed 42 > .golden-guard-fleet.txt
+	cmp benchmarks/goldens/fleet-seed42.txt .golden-guard-fleet.txt
+	rm -f .golden-guard-table2.txt .golden-guard-table1.txt \
+	    .golden-guard-fleet.txt
 
 # Kernel throughput microbenchmark: regenerates BENCH_kernel.json at
 # the repo root (events/sec for the hot-path workloads, pre-PR

@@ -8,11 +8,15 @@ they can consume disk, network and CPU resources.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from functools import lru_cache, reduce
+from itertools import repeat
+from operator import add
+from typing import Dict, List
 
 from repro.simulation.kernel import SimulationError
 
-__all__ = ["StorageError", "FileNotFound", "FileSystem", "block_span"]
+__all__ = ["StorageError", "FileNotFound", "FileSystem", "block_span",
+           "repeated_sum"]
 
 
 class StorageError(SimulationError):
@@ -37,6 +41,17 @@ def block_span(offset: int, nbytes: int, block_size: int) -> range:
     first = offset // block_size
     last = (offset + nbytes - 1) // block_size
     return range(first, last + 1)
+
+
+@lru_cache(maxsize=256)
+def repeated_sum(value: float, count: int) -> float:
+    """``value`` added to ``0.0`` ``count`` times, one addition at a time.
+
+    Bit-identical to a ``total += value`` loop -- ``count * value`` is
+    not -- but iterated in C and memoized (reads of one size recur), so
+    a read's per-block service cost adds no Python work per block.
+    """
+    return reduce(add, repeat(value, count), 0.0)
 
 
 class FileSystem:

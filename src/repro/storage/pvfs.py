@@ -18,10 +18,11 @@ over any backing file system (normally an :class:`NfsMount`), adding:
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.simulation.kernel import Simulation
-from repro.storage.base import FileSystem, StorageError, block_span
+from repro.storage.base import (FileSystem, StorageError, block_span,
+                                repeated_sum)
 from repro.storage.cache import BlockCache
 
 __all__ = ["PvfsProxy"]
@@ -84,48 +85,38 @@ class PvfsProxy(FileSystem):
              sequential: bool = True):
         """Read through the proxy cache; misses forward to the backing FS."""
         file_id = (self.name, name)
-        hit_cost = 0.0
-        hits = 0
-        miss_run: List[int] = []
         blocks = block_span(offset, nbytes, self.block_size)
-        for block in blocks:
-            if self.cache.lookup(file_id, block):
-                hit_cost += _PROXY_HIT_COST
-                hits += 1
-                if miss_run:
-                    yield from self._fill(name, file_id, miss_run)
-                    miss_run = []
-                continue
-            miss_run.append(block)
-        if miss_run:
-            yield from self._fill(name, file_id, miss_run)
+        missed = 0
+        for run in self.cache.scan(file_id, blocks):
+            missed += len(run)
+            yield from self._fill(name, file_id, run)
+        hits = len(blocks) - missed
         self._m_hits.inc(hits)
-        self._m_misses.inc(len(blocks) - hits)
-        if hit_cost:
-            yield self.sim.timeout(hit_cost)
+        self._m_misses.inc(missed)
+        if hits:
+            yield self.sim.timeout(repeated_sum(_PROXY_HIT_COST, hits))
         # A streaming pattern warms the cache ahead of the reader.
         if sequential and self.prefetch_blocks and blocks:
             self._start_prefetch(name, file_id, blocks[-1] + 1)
 
-    def _fill(self, name: str, file_id, blocks: List[int]):
-        """Fetch a run of missing blocks from the backing file system."""
+    def _fill(self, name: str, file_id, blocks: Sequence[int]):
+        """Fetch missing blocks from the backing file system: one read
+        from the first of them, as long as their count."""
         span_offset = blocks[0] * self.block_size
         span_bytes = min(len(blocks) * self.block_size,
                          self.backing.size(name) - span_offset)
         if span_bytes > 0:
             yield from self.backing.read(name, span_offset, span_bytes,
                                          sequential=len(blocks) > 1)
-        for block in blocks:
-            self.cache.insert(file_id, block)
+        self.cache.insert_run(file_id, blocks)
 
     def _start_prefetch(self, name: str, file_id, first_block: int) -> None:
         limit = (self.backing.size(name) + self.block_size - 1) \
             // self.block_size
-        wanted = [b for b in range(first_block,
-                                   min(first_block + self.prefetch_blocks,
-                                       limit))
-                  if not self.cache.contains(file_id, b)
-                  and (name, b) not in self._inflight_prefetch]
+        ahead = range(first_block,
+                      min(first_block + self.prefetch_blocks, limit))
+        wanted = [b for run in self.cache.missing(file_id, ahead)
+                  for b in run if (name, b) not in self._inflight_prefetch]
         if not wanted:
             return
         for block in wanted:
@@ -149,8 +140,7 @@ class PvfsProxy(FileSystem):
         """Absorb the write into the proxy's write buffer (fast path)."""
         blocks = block_span(offset, nbytes, self.block_size)
         file_id = (self.name, name)
-        for block in blocks:
-            self.cache.insert(file_id, block, dirty=True)
+        self.cache.insert_run(file_id, blocks)
         self._write_buffer.setdefault(name, []).append((offset, nbytes))
         self.buffered_bytes += nbytes
         yield self.sim.timeout(len(blocks) * _PROXY_HIT_COST)
