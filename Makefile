@@ -65,46 +65,25 @@ test:
 	$(PYTHON) -m pytest -x -q
 
 # Byte-identity across worker counts, run standalone so a failure is
-# unmistakably a parallelism bug (the file also runs as part of
-# `test`; see docs/performance.md).
+# unmistakably a parallelism bug (the pytest file also runs as part of
+# `test`; see docs/performance.md).  Table 1 and Table 2 at seed 42
+# with two replication workers must also match their committed goldens
+# byte for byte.
 parallel-determinism:
 	$(PYTHON) -m pytest -x -q tests/experiments/test_parallel_determinism.py
+	$(PYTHON) -m repro table1 --seed 42 --workers 2 > .par-det-table1.txt
+	cmp benchmarks/goldens/table1-seed42.txt .par-det-table1.txt
+	$(PYTHON) -m repro table2 --seed 42 --workers 2 > .par-det-table2.txt
+	cmp benchmarks/goldens/table2-seed42.txt .par-det-table2.txt
+	rm -f .par-det-table1.txt .par-det-table2.txt
 
 # Byte-identity across *shard* counts: the sharded engine's
 # determinism contract says every artifact is a pure function of
-# (scenario, seed), never of shard count, shard model or placement.
-# Table 2 and Table 1 are compared across {1,2,4} shards under both
-# the `site` and `host` shard models (host unlocks shard counts above
-# the site count: one group per sample world), table2's trace and
-# flight record across {1,2} shards, and the fleet scenario (the
-# message-coupled multi-site world, including its merged flight
-# record) across {1,4}.  The fleet flight file reuses one path so the
-# printed output is comparable too.
+# (scenario, seed), never of shard count or placement.  The fleet
+# scenario (the message-coupled multi-site world, including its merged
+# flight record) is compared across {1,4} shards.  The flight file
+# reuses one path so the printed output is comparable too.
 shard-determinism:
-	$(PYTHON) -m repro table2 --seed 42 --shards 1 > .shard-det-t2-1.txt
-	$(PYTHON) -m repro table2 --seed 42 --shards 2 > .shard-det-t2-2.txt
-	$(PYTHON) -m repro table2 --seed 42 --shards 4 > .shard-det-t2-4.txt
-	$(PYTHON) -m repro table2 --seed 42 --shards 4 --shard-model host \
-	    > .shard-det-t2-4h.txt
-	cmp .shard-det-t2-1.txt .shard-det-t2-2.txt
-	cmp .shard-det-t2-1.txt .shard-det-t2-4.txt
-	cmp .shard-det-t2-1.txt .shard-det-t2-4h.txt
-	$(PYTHON) -m repro table1 --seed 42 --shards 1 > .shard-det-t1-1.txt
-	$(PYTHON) -m repro table1 --seed 42 --shards 4 > .shard-det-t1-4.txt
-	$(PYTHON) -m repro table1 --seed 42 --shards 4 --shard-model host \
-	    > .shard-det-t1-4h.txt
-	cmp .shard-det-t1-1.txt .shard-det-t1-4.txt
-	cmp .shard-det-t1-1.txt .shard-det-t1-4h.txt
-	$(PYTHON) -m repro trace table2 --seed 42 --shards 1 \
-	    --out .shard-det-trace-1.json
-	$(PYTHON) -m repro trace table2 --seed 42 --shards 2 \
-	    --out .shard-det-trace-2.json
-	cmp .shard-det-trace-1.json .shard-det-trace-2.json
-	$(PYTHON) -m repro record table2 --seed 42 --shards 1 \
-	    --out .shard-det-rec-1.jsonl
-	$(PYTHON) -m repro record table2 --seed 42 --shards 2 \
-	    --out .shard-det-rec-2.jsonl
-	cmp .shard-det-rec-1.jsonl .shard-det-rec-2.jsonl
 	$(PYTHON) -m repro fleet --seed 42 --shards 1 \
 	    --out .shard-det-flight.jsonl > .shard-det-fleet-1.txt
 	mv .shard-det-flight.jsonl .shard-det-flight-1.jsonl
@@ -112,9 +91,7 @@ shard-determinism:
 	    --out .shard-det-flight.jsonl > .shard-det-fleet-4.txt
 	cmp .shard-det-fleet-1.txt .shard-det-fleet-4.txt
 	cmp .shard-det-flight-1.jsonl .shard-det-flight.jsonl
-	rm -f .shard-det-t2-*.txt .shard-det-t1-*.txt \
-	    .shard-det-trace-*.json .shard-det-rec-*.jsonl \
-	    .shard-det-fleet-*.txt .shard-det-flight*.jsonl
+	rm -f .shard-det-fleet-*.txt .shard-det-flight*.jsonl
 
 # Adaptive conservative windows must never cost barrier rounds versus
 # the fixed-lookahead schedule, and every artifact except the reported

@@ -2,7 +2,7 @@
 
 Usage::
 
-    python -m repro table1 [--scale 1.0]
+    python -m repro table1 [--scale 1.0] [--workers 4]
     python -m repro table2 [--samples 10] [--workers 4]
     python -m repro figure1 [--samples 150] [--workers 4]
     python -m repro fleet [--sites 3] [--sessions 3] [--shards 4]
@@ -52,23 +52,23 @@ under :mod:`cProfile` and prints the top functions by cumulative time
 (``docs/performance.md``) — the entry point every fast path in the
 model layer was justified from.
 
-``--workers N`` fans independent replications across N processes
-(``docs/performance.md``); every artifact is byte-identical for any
-worker count, including the single-world ``trace``/``metrics`` runs,
-which stay sequential by construction.
+``--workers N`` fans independent replications (Table 1's macro runs,
+Table 2's samples, Figure 1's scenarios, the ablation worlds) across N
+persistent worker processes (``docs/performance.md``); every artifact
+is byte-identical for any worker count, including the single-world
+``trace``/``metrics`` runs, which stay sequential by construction.
 
-``--shards N`` partitions the experiment and runs up to N kernels in
-parallel under the deterministic conservative protocol of
-:mod:`repro.simulation.sharded` (``docs/sharding.md``).  Orthogonal to
-``--workers``; every artifact is byte-identical for any shard count
-and shard model.  ``fleet`` is the decomposable multi-site scenario
-(one shard per site, adaptive conservative windows — ``--fixed-windows``
-for the A/B schedule); ``table1``/``table2`` decompose over their
-independent sample worlds (``--shard-model site`` groups per table
-cell/column, ``host`` per world).  ``figure1``, the ablations and the
-single-session trace/record targets are one-kernel worlds: ``--shards
-> 1`` prints a notice and runs the identical inline path, or errors
-out under ``--strict-shards``.
+``--shards N`` is for ``fleet`` only, the message-coupled multi-site
+scenario: one partition kernel per site under the deterministic
+conservative protocol of :mod:`repro.simulation.sharded`
+(``docs/sharding.md``), up to N of them in parallel, with adaptive
+conservative windows (``--fixed-windows`` for the A/B schedule).  Its
+artifacts are byte-identical for any shard count.  Any other command
+rejects ``--shards`` other than 1 and points to ``--workers``.
+
+Bad input (a value the model rejects, such as ``--samples 0`` or a
+fleet that overfills a host) exits 2 with one ``error:`` line on
+stderr.
 """
 
 from __future__ import annotations
@@ -86,8 +86,7 @@ def _cmd_table1(args) -> None:
     from repro.experiments.table1 import run_table1
 
     scale = float(args.scale) if args.scale is not None else 1.0
-    rows = run_table1(scale=scale, seed=args.seed, shards=args.shards,
-                      shard_model=args.shard_model or "site")
+    rows = run_table1(scale=scale, seed=args.seed, workers=args.workers)
     print(format_table(
         ["Application", "Resource", "User(s)", "Sys(s)", "Total(s)",
          "Overhead"],
@@ -102,8 +101,7 @@ def _cmd_table2(args) -> None:
     from repro.experiments.table2 import run_table2
 
     rows = run_table2(samples=args.samples, seed=args.seed,
-                      workers=args.workers, shards=args.shards,
-                      shard_model=args.shard_model or "site")
+                      workers=args.workers)
     print(format_table(
         ["Start", "Storage", "Mean(s)", "Std", "Min", "Max"],
         [[r.start_mode, r.storage_mode, "%.1f" % r.mean, "%.1f" % r.std,
@@ -115,8 +113,7 @@ def _cmd_figure1(args) -> None:
     from repro.experiments.figure1 import run_figure1
 
     results = run_figure1(samples=args.samples, seed=args.seed,
-                          workers=args.workers, shards=args.shards,
-                          strict_shards=args.strict_shards)
+                          workers=args.workers)
     print(format_table(
         ["Load", "Test on", "Load on", "Mean slowdown", "Std"],
         [[r.load_level, r.test_on, r.load_on, "%.3f" % r.mean_slowdown,
@@ -131,27 +128,21 @@ def _cmd_ablations(args) -> None:
         run_staging_ablation,
     )
 
-    cache = run_proxy_cache_ablation(seed=args.seed, workers=args.workers,
-                                     shards=args.shards,
-                                     strict_shards=args.strict_shards)
+    cache = run_proxy_cache_ablation(seed=args.seed, workers=args.workers)
     print(format_table(
         ["Proxy cache", "Cold(s)", "Warm mean(s)"],
         [["on" if r.proxy_cache else "off", "%.1f" % r.cold,
           "%.1f" % r.warm_mean] for r in cache],
         title="A1: proxy cache"))
     print()
-    sched = run_scheduler_ablation(seed=args.seed, workers=args.workers,
-                                   shards=args.shards,
-                                   strict_shards=args.strict_shards)
+    sched = run_scheduler_ablation(seed=args.seed, workers=args.workers)
     print(format_table(
         ["Mechanism", "VM", "Target", "Achieved"],
         [[r.mechanism, r.vm, "%.3f" % r.target, "%.3f" % r.achieved]
          for r in sched],
         title="A2: enforcement mechanisms"))
     print()
-    staging = run_staging_ablation(workers=args.workers,
-                                   shards=args.shards,
-                                   strict_shards=args.strict_shards)
+    staging = run_staging_ablation(workers=args.workers)
     print(format_table(
         ["Fraction", "On-demand(s)", "Staged(s)", "Winner"],
         [["%.2f" % p.fraction, "%.1f" % p.on_demand_time,
@@ -228,9 +219,7 @@ def _cmd_trace(args) -> None:
 
     target = _require_target(args)
     out = args.out or "%s-trace.json" % target
-    sim, count = trace_experiment(target, out, seed=args.seed,
-                                  shards=args.shards,
-                                  strict_shards=args.strict_shards)
+    sim, count = trace_experiment(target, out, seed=args.seed)
     print("wrote %s: %d trace events, %.2f simulated seconds"
           % (out, count, sim.now))
 
@@ -254,8 +243,7 @@ def _cmd_record(args) -> None:
     out = args.out or "%s-record.jsonl" % target
     sim, _grid, recorder = record_experiment(
         target, interval=args.interval, seed=args.seed,
-        capacity=args.capacity, shards=args.shards,
-        strict_shards=args.strict_shards)
+        capacity=args.capacity)
     count = recorder.write(out)
     print("wrote %s: %d heartbeat(s) at %gs intervals, "
           "%.2f simulated seconds"
@@ -389,19 +377,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0,
                         help="root random seed (default 0)")
     parser.add_argument("--workers", type=int, default=1,
-                        help="replication worker processes (default 1: "
+                        help="table1/table2/figure1/ablations: "
+                             "replication worker processes (default 1: "
                              "sequential; results are byte-identical "
                              "for any value)")
     parser.add_argument("--shards", type=int, default=1,
-                        help="partition the experiment's worlds and run "
-                             "up to N partition kernels in parallel "
-                             "(default 1; results are byte-identical "
-                             "for any value — see docs/sharding.md)")
-    parser.add_argument("--strict-shards", action="store_true",
-                        help="error out instead of running inline when "
-                             "--shards > 1 hits a non-decomposable "
-                             "experiment (figure1, ablations, "
-                             "trace/record targets)")
+                        help="fleet: run up to N site kernels in "
+                             "parallel (default 1; results are "
+                             "byte-identical for any value — see "
+                             "docs/sharding.md)")
     parser.add_argument("--fixed-windows", action="store_true",
                         help="fleet: disable adaptive conservative "
                              "windows (A/B the round count; artifacts "
@@ -443,13 +427,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "inventory at FILE (implies --shard)")
     parser.add_argument("--shard-model", default=None,
                         choices=("site", "host"),
-                        help="table1/table2: how --shards groups the "
-                             "experiment's worlds (site: coarse, one "
-                             "group per cell/column; host: one group "
-                             "per world, unlocking shard counts above "
-                             "the site count); sanitize: also check "
-                             "shard-affinity at runtime, partitioning "
-                             "by site or by host")
+                        help="sanitize: also check shard-affinity at "
+                             "runtime, partitioning by site or by host")
     parser.add_argument("--sarif", action="store_true",
                         help="analyze: emit findings as SARIF 2.1.0")
     parser.add_argument("--baseline", default=None, metavar="FILE",
@@ -472,28 +451,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point; returns a process exit code."""
+    from repro.simulation.kernel import SimulationError
+
     args = build_parser().parse_args(argv)
+    if args.shards != 1 and args.command != "fleet":
+        print("error: --shards is for fleet only, not %s; use --workers N "
+              "to run independent replications in parallel"
+              % args.command, file=sys.stderr)
+        return 2
     if args.samples is None:
         args.samples = 150 if args.command == "figure1" else 10
-    if args.command == "all":
-        for name in ("table1", "figure1", "table2", "ablations",
-                     "overlay", "migration"):
-            if name == "figure1" and args.samples == 10:
-                args.samples = 150
-            _COMMANDS[name](args)
-            print()
-        return 0
-    if args.strict_shards:
-        # Strict shard validation is a user-requested argument check:
-        # fail with a one-line error, not a traceback.
-        from repro.simulation.sharded import ShardError
-
-        try:
-            return _COMMANDS[args.command](args) or 0
-        except ShardError as exc:
-            print("error: %s" % exc, file=sys.stderr)
-            return 2
-    return _COMMANDS[args.command](args) or 0
+    try:
+        if args.command == "all":
+            for name in ("table1", "figure1", "table2", "ablations",
+                         "overlay", "migration"):
+                if name == "figure1" and args.samples == 10:
+                    args.samples = 150
+                _COMMANDS[name](args)
+                print()
+            return 0
+        return _COMMANDS[args.command](args) or 0
+    except SimulationError as exc:
+        # The model rejected an input value: one line, no traceback.
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.gridnet.dhcp import DhcpServer
-from repro.gridnet.flows import FlowEngine, FlowPartition
+from repro.gridnet.flows import FlowEngine
 from repro.gridnet.topology import Network
 from repro.guestos.interface import PhysicalHost
 from repro.hardware.machine import MachineSpec, PhysicalMachine
@@ -53,31 +53,14 @@ class VirtualGrid:
 
     def __init__(self, sim: Optional[Simulation] = None, seed: int = 0,
                  costs: Optional[VmmCosts] = None,
-                 sla: Optional[SlaPolicy] = None,
-                 flow_partition: Optional[str] = "site"):
+                 sla: Optional[SlaPolicy] = None):
         self.sim = sim or Simulation(seed=seed)
         self.streams = RandomStreams(seed)
         self.costs = costs or VmmCosts()
         self.sla = sla or DEFAULT_SLA
         self.network = Network(self.sim, name="grid-net")
         self.network.add_router(_BACKBONE)
-        # The WAN fluid model runs decomposed by default: per-site fill
-        # shards own their LAN links, cross-site links belong to the WAN
-        # coordinator shard.  Allocations are byte-identical to the
-        # monolithic fill (see FlowEngine._refill_decomposed), so this
-        # is purely an execution-strategy default.
-        if flow_partition is None:
-            partition = None
-        elif flow_partition == "site":
-            partition = FlowPartition.by_site(self.network)
-        elif flow_partition == "host":
-            partition = FlowPartition.by_host(self.network)
-        else:
-            raise SimulationError("unknown flow partition %r "
-                                  "(expected 'site', 'host' or None)"
-                                  % flow_partition)
-        self.engine = FlowEngine(self.sim, self.network,
-                                 partition=partition)
+        self.engine = FlowEngine(self.sim, self.network)
         self.info = InformationService(self.sim,
                                        rng=self.streams.stream("info"))
         self.accounts = AccountRegistry()

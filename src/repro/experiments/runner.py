@@ -4,11 +4,11 @@ The paper's quantitative artifacts are embarrassingly parallel: every
 replication (a Figure 1 scenario, one Table 2 startup sample, one
 ablation world) builds its own :class:`~repro.simulation.kernel.
 Simulation` from its own seed and never touches another replication's
-state.  This module fans those replications across a
-:mod:`multiprocessing` pool while keeping the repo's hard determinism
-invariant: **the results are a pure function of the root seed** —
-never of the worker count, worker identity, host core count or
-completion order.
+state.  This module fans those replications across the warm worker
+group of :mod:`repro.simulation.workerpool` while keeping the repo's
+hard determinism invariant: **the results are a pure function of the
+root seed** — never of the worker count, worker identity, host core
+count or completion order.
 
 Three rules make that true:
 
@@ -37,58 +37,24 @@ as before.
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Sequence, Tuple
 
 from repro.simulation.monitor import StatAccumulator
 from repro.simulation.randomness import RandomStreams
-from repro.simulation.workerpool import register_shutdown
+from repro.simulation.workerpool import shutdown_warm_group, warm_group
 
 __all__ = ["run_replications", "replication_seeds", "merge_accumulators",
            "shutdown_pool"]
 
-#: The warm worker pool, reused across experiment stages.  Spawning a
-#: fresh pool per stage costs a fork + interpreter warm-up per worker
-#: per stage; experiments like table2 run six stages back to back, so
-#: the pool is kept until the worker count changes or the process exits.
-#: Deliberately process-global *infrastructure*, not model state: the
-#: pool carries no simulation data between tasks (workers receive every
-#: input by argument and return parts by value; see
-#: tests/experiments/test_pool_state_isolation.py for the proof), so
-#: reuse cannot couple replications.  The teardown discipline (one
-#: atexit hook, reset on failure) is shared with the sharded engine's
-#: persistent worker group through repro.simulation.workerpool.
-_POOL = None  # simlint: disable=R15  process infrastructure; workers exchange state only by argument/return
-_POOL_WORKERS = 0  # simlint: disable=R15  paired with _POOL above
+#: The runner's teardown name: its pool is the warm worker group.
+shutdown_pool = shutdown_warm_group
 
 
-def _warm_pool(workers: int):
-    """The shared pool for ``workers`` processes, creating it on demand."""
-    global _POOL, _POOL_WORKERS
-    if _POOL is not None and _POOL_WORKERS != workers:
-        shutdown_pool()
-    if _POOL is None:
-        # Imported lazily: sequential runs must not pay for (or depend
-        # on) multiprocessing machinery.
-        import multiprocessing
-
-        _POOL = multiprocessing.Pool(processes=workers)
-        _POOL_WORKERS = workers
-        register_shutdown(shutdown_pool)
-    return _POOL
-
-
-def shutdown_pool() -> None:
-    """Tear down the warm pool (no-op when none is running).
-
-    Registered atexit; also the reset path when a worker dies and the
-    pool can no longer be trusted.
-    """
-    global _POOL, _POOL_WORKERS
-    if _POOL is not None:
-        _POOL.terminate()
-        _POOL.join()
-        _POOL = None
-        _POOL_WORKERS = 0
+def _replication_main(request: Tuple[Callable[..., Any], List[Tuple]]
+                      ) -> List[Any]:
+    """Worker main: run one slice of tasks, results in slice order."""
+    fn, tasks = request
+    return [fn(*task) for task in tasks]
 
 
 def replication_seeds(root_seed: int, name: str, count: int) -> List[int]:
@@ -106,18 +72,22 @@ def replication_seeds(root_seed: int, name: str, count: int) -> List[int]:
 
 def run_replications(fn: Callable[..., Any],
                      tasks: Sequence[Tuple],
-                     workers: int = 1,
-                     chunksize: Optional[int] = None) -> List[Any]:
+                     workers: int = 1) -> List[Any]:
     """Run ``fn(*task)`` for every task; results in task order.
 
     ``fn`` must be a module-level callable and every task an argument
     tuple (both cross the process boundary when ``workers > 1``).  With
-    ``workers <= 1`` the tasks run sequentially in-process — no pool,
-    no pickling, bit-for-bit the historical code path.  With more, a
-    warm ``multiprocessing`` pool — created once and reused across
-    calls until the worker count changes — maps the tasks; ``starmap``
-    already returns results positionally, which is what makes the
-    fan-out invisible to downstream accumulation.
+    ``workers <= 1`` the tasks run sequentially in-process — no
+    processes, no pickling, bit-for-bit the historical code path.  With
+    more, the warm :class:`~repro.simulation.workerpool.
+    PersistentWorkerGroup` of ``workers`` processes — created once and
+    reused across calls until the worker count changes — takes the
+    tasks strided (worker ``w`` runs ``tasks[w::workers]``) in one
+    round trip, and the replies are interleaved back into task order.
+
+    A worker that raises or dies fails the call with
+    :class:`~repro.simulation.workerpool.WorkerGroupError` and the group
+    is torn down; the next call builds a fresh one.
 
     The worker count bounds *wall-clock concurrency only*; it must
     never reach the model (simlint R10 flags attempts).
@@ -125,19 +95,19 @@ def run_replications(fn: Callable[..., Any],
     tasks = [tuple(task) for task in tasks]
     if workers is None or workers <= 1 or len(tasks) <= 1:
         return [fn(*task) for task in tasks]
-    if chunksize is None:
-        # Large replication counts amortize dispatch IPC by shipping
-        # chunks; small counts keep chunk 1 so stragglers rebalance.
-        # The split never reaches the model, so results are identical
-        # for any chunk size — this is wall-clock tuning only.
-        chunksize = max(1, min(32, len(tasks) // (workers * 4)))
-    pool = _warm_pool(workers)
+    group = warm_group(workers, _replication_main)
     try:
-        return pool.starmap(fn, tasks, chunksize=chunksize)
-    except Exception:
-        # A worker death poisons the pool; never reuse it.
-        shutdown_pool()
+        replies = group.roundtrip([(w, (fn, tasks[w::workers]))
+                                   for w in range(workers)])
+    except BaseException:
+        # An interrupted round trip leaves replies in flight: never
+        # reuse the group.
+        shutdown_warm_group()
         raise
+    results: List[Any] = [None] * len(tasks)
+    for w, reply in enumerate(replies):
+        results[w::workers] = reply
+    return results
 
 
 def merge_accumulators(parts: Sequence[StatAccumulator],

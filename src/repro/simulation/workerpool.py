@@ -1,25 +1,27 @@
 """Warm process-worker infrastructure shared by the parallel drivers.
 
-Two very different parallel drivers live in this repo:
+Both parallel drivers in this repo run on one
+:class:`PersistentWorkerGroup` of pipe-connected workers:
 
-* the replication runner (:mod:`repro.experiments.runner`) fans
-  *independent* tasks over a stateless ``multiprocessing.Pool``;
+* the replication runner (:mod:`repro.experiments.runner`) sends each
+  worker one strided slice of *independent* tasks per call;
 * the sharded engine (:mod:`repro.simulation.sharded`) keeps
   *stateful* workers alive across barrier rounds — each worker owns
   built simulation worlds that cannot cross a process boundary.
 
-Both want the same warm-pool economics (spawning processes per run
+Both want the same warm-group economics (spawning processes per run
 costs a fork plus interpreter warm-up each) and the same teardown
 discipline (exactly one ``atexit`` hook, reset on failure).  This
-module holds the shared pieces: a process-wide shutdown registry and a
-:class:`PersistentWorkerGroup` of pipe-connected workers, with a warm
-cache keyed by (worker main, size) in the style of the runner's
-``_warm_pool``.
+module holds those pieces: a process-wide shutdown registry, the
+worker group, and a warm cache of one group keyed by (worker main,
+size).
 
 Everything here is deliberately process *infrastructure*, not model
 state: workers receive every input by message and return results by
-message, so reuse cannot couple simulated worlds (the same argument —
-and the same test pattern — as the replication pool).
+message, so reuse cannot couple simulated worlds
+(tests/experiments/test_pool_state_isolation.py holds the proof).  A
+worker that raises or dies fails the round trip with
+:class:`WorkerGroupError` and the group is shut down, never reused.
 """
 
 from __future__ import annotations
@@ -30,8 +32,7 @@ __all__ = ["PersistentWorkerGroup", "register_shutdown", "shutdown_all",
            "warm_group", "shutdown_warm_group"]
 
 #: Idempotent teardown callbacks, run once at interpreter exit.  Filled
-#: through register_shutdown() only; identical role to the runner's
-#: atexit latch before it moved here.
+#: through register_shutdown() only.
 _SHUTDOWNS: List[Callable[[], None]] = []  # simlint: disable=R15  process infrastructure: teardown callbacks, not model state
 _ATEXIT_INSTALLED = False  # simlint: disable=R15  one-shot latch for the atexit hook
 
@@ -40,7 +41,7 @@ def register_shutdown(callback: Callable[[], None]) -> None:
     """Run ``callback`` at interpreter exit (and from :func:`shutdown_all`).
 
     The ``atexit`` hook is installed once per process no matter how
-    many pools register; callbacks must be idempotent.
+    many callbacks register; callbacks must be idempotent.
     """
     global _ATEXIT_INSTALLED
     if callback not in _SHUTDOWNS:
@@ -53,7 +54,7 @@ def register_shutdown(callback: Callable[[], None]) -> None:
 
 
 def shutdown_all() -> None:
-    """Tear down every registered pool (idempotent)."""
+    """Run every registered teardown callback (idempotent)."""
     for callback in list(_SHUTDOWNS):
         callback()
 
@@ -93,10 +94,9 @@ class WorkerGroupError(RuntimeError):
 class PersistentWorkerGroup:
     """N pipe-connected worker processes serving requests until shut down.
 
-    Unlike a ``multiprocessing.Pool``, workers hold state between
-    requests (the sharded engine parks built simulation worlds in
-    them), so requests are addressed to a *specific* worker and the
-    group never rebalances.  The request/reply protocol is strictly
+    Workers may hold state between requests (the sharded engine parks
+    built simulation worlds in them), so requests are addressed to a
+    *specific* worker and the group never rebalances.  The request/reply protocol is strictly
     lock-step per worker: :meth:`send` then :meth:`recv`, or the
     :meth:`roundtrip` convenience that scatters to several workers and
     gathers in index order — which is what keeps coordinator-side
@@ -143,7 +143,7 @@ class PersistentWorkerGroup:
 
         Re-raises worker-side failures as :class:`WorkerGroupError`
         carrying the remote traceback; a failed group is shut down and
-        never reused (the runner's poisoned-pool rule).
+        never reused.
         """
         try:
             reply = self._conns[worker].recv()
@@ -161,8 +161,8 @@ class PersistentWorkerGroup:
 
         All requests go out before any reply is read, so workers run
         concurrently; replies come back indexed like ``requests``
-        regardless of completion order — the same results-in-task-order
-        rule the replication runner keeps.
+        regardless of completion order, which is what keeps results in
+        task order for the replication runner.
         """
         for worker, request in requests:
             self.send(worker, request)
@@ -193,9 +193,8 @@ class PersistentWorkerGroup:
             self.size, "alive" if self._alive else "shut down")
 
 
-#: The warm group, reused across sharded runs until the size or worker
-#: main changes — the PersistentWorkerGroup analogue of the runner's
-#: warm replication pool.
+#: The warm group, reused across replication calls and sharded runs
+#: until the size or worker main changes.
 _GROUP: Optional[PersistentWorkerGroup] = None  # simlint: disable=R15  process infrastructure; workers exchange state only by message
 _GROUP_KEY: Optional[Tuple[int, Any]] = None  # simlint: disable=R15  paired with _GROUP above
 

@@ -112,28 +112,6 @@ def test_cli_fleet_output_identical_across_shards(tmp_path, capsys):
     assert "Fleet metrics" in outputs[1]
 
 
-def test_cli_legacy_commands_accept_shards_identically(capsys):
-    """--shards on the paper's single-kernel artifacts: validated,
-    identical inline path, byte-identical stdout."""
-    outputs = {}
-    for shards in ("1", "4"):
-        assert main(["table2", "--samples", "2", "--seed", "42",
-                     "--shards", shards]) == 0
-        outputs[shards] = capsys.readouterr().out
-    assert outputs["1"] == outputs["4"]
-    assert "Table 2" in outputs["1"]
-
-
-def test_cli_record_accepts_shards_identically(tmp_path):
-    records = {}
-    for shards in ("1", "3"):
-        out = tmp_path / ("rec-%s.jsonl" % shards)
-        assert main(["record", "table2", "--seed", "42",
-                     "--shards", shards, "--out", str(out)]) == 0
-        records[shards] = out.read_bytes()
-    assert records["1"] == records["3"]
-
-
 def test_fleet_rejects_degenerate_parameters():
     from repro.simulation.kernel import SimulationError
 

@@ -1,10 +1,10 @@
 """Dedicated parallel-determinism tests: workers=1 vs workers=N.
 
 Everything else in the suite runs sequentially (``workers=1`` is the
-default everywhere); these tests are the one place a real
-``multiprocessing`` pool is exercised, asserting the runner's central
-claim: results, rendered tables and Chrome traces are byte-identical
-for any worker count.  See ``docs/performance.md``.
+default everywhere); these tests are the main place the warm worker
+group is exercised, asserting the runner's central claim: results,
+rendered tables and Chrome traces are byte-identical for any worker
+count.  See ``docs/performance.md``.
 """
 
 from repro import cli
@@ -14,6 +14,7 @@ from repro.experiments.runner import (
     replication_seeds,
     run_replications,
 )
+from repro.experiments.table1 import run_table1
 from repro.experiments.table2 import run_table2
 from repro.obs.runner import trace_experiment
 from repro.simulation.monitor import StatAccumulator
@@ -35,6 +36,12 @@ def test_figure1_workers_match_sequential():
     sequential = run_figure1(workers=1, **kwargs)
     parallel = run_figure1(workers=WORKERS, **kwargs)
     # Dataclasses of floats: == is exact bitwise equality per statistic.
+    assert sequential == parallel
+
+
+def test_table1_workers_match_sequential():
+    sequential = run_table1(scale=0.05, seed=7, workers=1)
+    parallel = run_table1(scale=0.05, seed=7, workers=WORKERS)
     assert sequential == parallel
 
 

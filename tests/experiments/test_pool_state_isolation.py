@@ -1,32 +1,33 @@
-"""Warm-pool reuse must be invisible in experiment results.
+"""Warm worker-group reuse must be invisible in experiment results.
 
-The replication runner keeps one ``multiprocessing`` pool warm across
-experiment stages (see ``repro.experiments.runner``).  A reused worker
-process carries everything a previous task left behind at module or
-class level, so any process-global model state would let one
-replication bleed into the next.  These tests pin the contract: the
-same tasks produce byte-for-byte identical results whether they run
+The replication runner keeps one persistent worker group warm across
+experiment stages (see ``repro.experiments.runner`` and
+``repro.simulation.workerpool``).  A reused worker process carries
+everything a previous task left behind at module or class level, so
+any process-global model state would let one replication bleed into
+the next.  These tests pin the contract: the same tasks produce
+byte-for-byte identical results whether they run
 
 * sequentially in this process (the historical reference path),
-* on the warm pool, reused across two consecutive stages,
-* on a throwaway pool with ``maxtasksperchild=1`` — a genuinely fresh
-  interpreter per task, the strictest baseline.
+* on the warm group, reused across two consecutive stages,
+* on a throwaway group with one fresh process per task — a genuinely
+  new interpreter for every replication, the strictest baseline.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import struct
 
 import pytest
 
-from repro.experiments import runner as runner_mod
+from repro.experiments import runner
 from repro.experiments.runner import (
     replication_seeds,
     run_replications,
     shutdown_pool,
 )
 from repro.experiments.table2 import startup_sample
+from repro.simulation import workerpool
 
 
 def _tasks():
@@ -53,17 +54,23 @@ def test_pool_reuse_matches_fresh_processes():
     sequential = [startup_sample(*task) for task in tasks]
 
     # Strictest reference: every task in a brand-new worker process.
-    with multiprocessing.Pool(2, maxtasksperchild=1) as throwaway:
-        fresh = throwaway.starmap(startup_sample, tasks)
+    throwaway = workerpool.PersistentWorkerGroup(
+        len(tasks), runner._replication_main)
+    try:
+        fresh = [reply[0] for reply in throwaway.roundtrip(
+            [(index, (startup_sample, [task]))
+             for index, task in enumerate(tasks)])]
+    finally:
+        throwaway.shutdown()
 
-    # The warm pool, exercised across two stages so the second stage
+    # The warm group, exercised across two stages so the second stage
     # runs in workers that already executed the first stage's worlds.
     first = run_replications(startup_sample, tasks, workers=2)
-    pool_after_first = runner_mod._POOL
+    group_after_first = workerpool._GROUP
     second = run_replications(startup_sample, tasks, workers=2)
 
-    assert runner_mod._POOL is pool_after_first, \
-        "second stage should reuse the warm pool, not rebuild it"
+    assert workerpool._GROUP is group_after_first, \
+        "second stage should reuse the warm group, not rebuild it"
     assert _as_bytes(first) == _as_bytes(sequential)
     assert _as_bytes(second) == _as_bytes(sequential)
     assert _as_bytes(fresh) == _as_bytes(sequential)
@@ -74,18 +81,20 @@ def test_worker_count_change_rebuilds_pool_and_preserves_results():
     sequential = [startup_sample(*task) for task in tasks]
 
     two = run_replications(startup_sample, tasks, workers=2)
-    pool_two = runner_mod._POOL
+    group_two = workerpool._GROUP
     three = run_replications(startup_sample, tasks, workers=3)
 
-    assert runner_mod._POOL is not pool_two
-    assert runner_mod._POOL_WORKERS == 3
+    assert workerpool._GROUP is not group_two
+    assert not group_two.alive
+    assert workerpool._GROUP.size == 3
     assert _as_bytes(two) == _as_bytes(sequential)
     assert _as_bytes(three) == _as_bytes(sequential)
 
 
 def test_shutdown_resets_worker_count():
     run_replications(startup_sample, _tasks()[:2], workers=2)
-    assert runner_mod._POOL_WORKERS == 2
+    group = workerpool._GROUP
+    assert group.size == 2 and group.alive
     shutdown_pool()
-    assert runner_mod._POOL is None
-    assert runner_mod._POOL_WORKERS == 0
+    assert workerpool._GROUP is None
+    assert not group.alive

@@ -1,96 +1,33 @@
-"""Sharded table runs must be byte-identical to the sequential driver.
+"""Table 2 rows must not depend on how their worlds are spread out.
 
-Table 1 and Table 2 are the paper's own decomposable experiments: every
-sample is a pure function of its task tuple, so spreading the worlds
-over the sharded engine — per cell/resource (``site`` model) or per
-world (``host`` model, shard counts above the site count) — must leave
-the rows untouched.  Dataclass equality on floats is exact, so these
-comparisons are bitwise.
+Every Table 2 sample is a pure function of its task tuple, so the rows
+are the same whether the worlds run in-process, strided unevenly over
+the warm worker group, or through the CLI with the only ``--shards``
+value a table command accepts.  Dataclass equality on floats is exact,
+so these comparisons are bitwise.
 """
 
-import pytest
-
-from repro.experiments.table1 import run_table1, table1_shard_run, table1_tasks
-from repro.experiments.table2 import run_table2, table2_shard_run, table2_tasks
+from repro import cli
+from repro.experiments.table2 import run_table2, table2_tasks
 from repro.simulation.workerpool import shutdown_warm_group
 
 _SAMPLES = 2
-_SCALE = 0.05
 
 
 def teardown_module(_module):
     shutdown_warm_group()
 
 
-def test_table2_rows_identical_across_shard_counts_and_models():
+def test_table2_rows_identical_across_shard_counts_and_models(capsys):
     reference = run_table2(samples=_SAMPLES, seed=42)
-    for shards, model in ((2, "site"), (4, "site"), (4, "host")):
-        rows = run_table2(samples=_SAMPLES, seed=42, shards=shards,
-                          shard_model=model)
-        assert rows == reference, (shards, model)
-
-
-def test_table1_rows_identical_across_shard_counts_and_models():
-    reference = run_table1(scale=_SCALE, seed=7)
-    for shards, model in ((2, "site"), (4, "host")):
-        rows = run_table1(scale=_SCALE, seed=7, shards=shards,
-                          shard_model=model)
-        assert rows == reference, (shards, model)
-
-
-def test_table2_host_model_unlocks_per_world_groups():
-    values, run = table2_shard_run(samples=_SAMPLES, seed=42, shards=4,
-                                   shard_model="host")
-    tasks = table2_tasks(_SAMPLES, 42)
-    assert len(values) == len(tasks) == 6 * _SAMPLES
-    # One group per sample world — more groups than the six cells the
-    # site model tops out at — and the channel-free plan needs exactly
-    # one unbounded round.
-    assert len(run.plan.groups) == len(tasks)
-    assert run.rounds == 1
-    assert run.messages_delivered == 0
-    site_values, site_run = table2_shard_run(samples=_SAMPLES, seed=42,
-                                             shards=4, shard_model="site")
-    assert len(site_run.plan.groups) == 6
-    assert values == site_values
-
-
-def test_table1_shard_run_values_cover_all_tasks():
-    values, run = table1_shard_run(scale=_SCALE, seed=7, shards=4,
-                                   shard_model="host")
-    tasks = table1_tasks()
-    assert len(values) == len(tasks) == 6
-    assert len(run.plan.groups) == 6  # one per (application, resource)
-    assert run.rounds == 1
-    for user, sys_time, total in values:
-        assert total == pytest.approx(user + sys_time)
-
-
-def test_unknown_shard_model_rejected():
-    from repro.simulation.kernel import SimulationError
-
-    with pytest.raises(SimulationError):
-        run_table2(samples=1, seed=0, shards=2, shard_model="galaxy")
-    with pytest.raises(SimulationError):
-        run_table1(scale=_SCALE, seed=0, shards=2, shard_model="galaxy")
-
-
-def test_nondecomposable_experiments_notice_and_strict(capsys):
-    """figure1/ablations: `--shards` prints the one-line stderr notice;
-    strict mode raises (as a ValueError) before any work runs."""
-    from repro.experiments.ablations import run_proxy_cache_ablation
-    from repro.experiments.figure1 import run_figure1
-    from repro.simulation.sharded import ShardError
-
-    with pytest.raises(ShardError, match="non-decomposable"):
-        run_figure1(samples=1, shards=2, strict_shards=True)
-    with pytest.raises(ValueError, match="figure1"):
-        run_figure1(samples=1, shards=2, strict_shards=True)
-    with pytest.raises(ShardError, match="proxy cache"):
-        run_proxy_cache_ablation(instantiations=1, shards=2,
-                                 strict_shards=True)
-    capsys.readouterr()
-    run_figure1(samples=1, test_seconds=0.5, shards=2)
-    err = capsys.readouterr().err
-    assert "non-decomposable world" in err
-    assert "--shards 2" in err
+    # 12 tasks over 5 workers: the strided split hands out 3,3,2,2,2,
+    # so uneven per-worker slices must still reassemble in task order.
+    assert len(table2_tasks(_SAMPLES, 42)) % 5 != 0
+    for workers in (2, 5):
+        rows = run_table2(samples=_SAMPLES, seed=42, workers=workers)
+        assert rows == reference, workers
+    argv = ["table2", "--samples", str(_SAMPLES), "--seed", "42"]
+    assert cli.main(argv) == 0
+    plain = capsys.readouterr().out
+    assert cli.main(argv + ["--shards", "1"]) == 0
+    assert capsys.readouterr().out == plain

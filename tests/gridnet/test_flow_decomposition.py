@@ -1,22 +1,16 @@
-"""Decomposed max-min filling must be byte-identical to the monolith.
+"""The one max-min fill on multi-site topologies.
 
-The decomposed progressive filling (:class:`FlowPartition` +
-``FlowEngine._refill_decomposed``) splits the capacity table across
-per-group fill shards that coordinate through bottleneck summaries.
-Its whole contract is *exact* equality with the monolithic fill — the
-same rates dict, in the same insertion order, bit for bit — under
-arbitrary topologies, flow sets, caps, and join/leave churn, with the
-allocation memo and the exclusive-links fast path still applying.
-These tests drive monolithic, site-partitioned and host-partitioned
-engines through identical scenarios Hypothesis invents and compare the
-raw allocation dicts with ``==`` on floats, never ``approx``.
+Grid traffic splits naturally along sites: LAN links per site, WAN
+links between site routers.  The progressive fill runs once over all
+of them; these tests pin that the allocation memo and the
+exclusive-links fast path hold on such topologies, and that the
+``fill_rounds`` counter reports the fill's bottleneck rounds.
 """
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from repro.gridnet import FlowEngine, FlowPartition, Network
-from repro.simulation import Simulation, SimulationError
+from repro.gridnet import FlowEngine, Network
+from repro.simulation import Simulation
 
 
 def multi_site(sim, lan_bws, wan_bws):
@@ -38,123 +32,16 @@ def multi_site(sim, lan_bws, wan_bws):
     return net
 
 
-def engine_trio(build_net):
-    """(monolithic, by-site, by-host) engines over identical topologies."""
-    engines = []
-    for style in ("mono", "site", "host"):
-        sim = Simulation()
-        net = build_net(sim)
-        if style == "mono":
-            partition = None
-        elif style == "site":
-            partition = FlowPartition.by_site(net)
-        else:
-            partition = FlowPartition.by_host(net)
-        engines.append(FlowEngine(sim, net, partition=partition))
-    return engines
-
-
-def rates_by_index(engine, flows):
-    """The allocation as (flow index, rate) pairs in dict order.
-
-    Flow objects differ between engines, so identity is the creation
-    index; *order* of the pairs is the rates dict's insertion order,
-    which the decomposition contract also pins.
-    """
-    index = {flow: i for i, flow in enumerate(flows)}
-    return [(index[flow], rate)
-            for flow, rate in engine._allocate().items()]
-
-
-@st.composite
-def grid_scenarios(draw):
-    """A topology plus a flow list over it (indices into host names)."""
-    lan_bws = draw(st.lists(
-        st.lists(st.floats(min_value=1e5, max_value=1e7),
-                 min_size=1, max_size=3),
-        min_size=2, max_size=3))
-    wan_bws = draw(st.lists(st.floats(min_value=1e5, max_value=5e6),
-                            min_size=len(lan_bws) - 1,
-                            max_size=len(lan_bws) - 1))
-    hosts = ["s%dh%d" % (s, h)
-             for s, site in enumerate(lan_bws) for h in range(len(site))]
-    pairs = st.tuples(st.integers(0, len(hosts) - 1),
-                      st.integers(0, len(hosts) - 1))
-    caps = st.one_of(st.none(),
-                     st.floats(min_value=5e4, max_value=2e6))
-    flow_specs = draw(st.lists(st.tuples(pairs, caps),
-                               min_size=1, max_size=8))
-    return lan_bws, wan_bws, hosts, flow_specs
-
-
-def start_flows(engine, hosts, flow_specs):
-    flows = []
-    for (src, dst), cap in flow_specs:
-        if src == dst:
-            continue  # loopback never enters the filling
-        flows.append(engine.start_flow(hosts[src], hosts[dst], 1e9,
-                                       bandwidth_cap=cap))
-    return flows
-
-
-@settings(max_examples=50, deadline=None)
-@given(scenario=grid_scenarios())
-def test_decomposed_allocation_is_bitwise_identical(scenario):
-    """Arbitrary topology + flows + caps: all three fills agree exactly."""
-    lan_bws, wan_bws, hosts, flow_specs = scenario
-    engines = engine_trio(lambda sim: multi_site(sim, lan_bws, wan_bws))
-    allocations = []
-    for engine in engines:
-        flows = start_flows(engine, hosts, flow_specs)
-        allocations.append(rates_by_index(engine, flows))
-        for flow in flows:
-            flow.remaining = 0.0  # don't run the gigantic transfers out
-    assert allocations[0] == allocations[1]  # exact, including order
-    assert allocations[0] == allocations[2]
-
-
-@settings(max_examples=30, deadline=None)
-@given(scenario=grid_scenarios(), cut=st.integers(0, 7))
-def test_churn_keeps_fills_identical(scenario, cut):
-    """Joins in two waves, then natural finishes: every checkpoint and
-    every completion time matches the monolithic engine exactly."""
-    lan_bws, wan_bws, hosts, flow_specs = scenario
-    first, second = flow_specs[:cut], flow_specs[cut:]
-    checkpoints = []
-    finish_times = []
-    for engine in engine_trio(lambda sim: multi_site(sim, lan_bws,
-                                                     wan_bws)):
-        # Small transfers so sim.run() retires them through the real
-        # leave path (the churn under test), re-filling as they go.
-        flows = []
-        for (src, dst), cap in first:
-            if src != dst:
-                flows.append(engine.start_flow(hosts[src], hosts[dst],
-                                               2e5, bandwidth_cap=cap))
-        snap_a = rates_by_index(engine, flows)
-        for (src, dst), cap in second:
-            if src != dst:
-                flows.append(engine.start_flow(hosts[src], hosts[dst],
-                                               2e5, bandwidth_cap=cap))
-        snap_b = rates_by_index(engine, flows)
-        engine.sim.run()
-        checkpoints.append((snap_a, snap_b))
-        finish_times.append([flow.finished_at for flow in flows])
-    assert checkpoints[0] == checkpoints[1] == checkpoints[2]
-    assert finish_times[0] == finish_times[1] == finish_times[2]
-
-
 def two_site_disjoint(sim):
     """Two sites whose traffic never crosses the WAN: fast-path bait."""
     return multi_site(sim, [[2e6, 2e6], [3e6, 3e6]], [1e6])
 
 
 def test_exclusive_links_fast_path_survives_decomposition():
-    """A disjoint join/leave patches the memo without a decomposed
-    fill, exactly as the monolithic engine skips its refill."""
+    """A join/leave confined to one site patches the memo without a
+    fill, even though both sites hang off one WAN backbone."""
     sim = Simulation()
-    net = two_site_disjoint(sim)
-    engine = FlowEngine(sim, net, partition=FlowPartition.by_site(net))
+    engine = FlowEngine(sim, two_site_disjoint(sim))
     f1 = engine.start_flow("s0h0", "s0h1", 4e6)
     engine.link_usage()  # warm the memo
     fills = engine.full_allocations
@@ -173,9 +60,9 @@ def test_exclusive_links_fast_path_survives_decomposition():
 def test_memo_still_one_fill_per_generation():
     sim = Simulation()
     net = multi_site(sim, [[1e6, 1e6], [1e6]], [1e6])
-    engine = FlowEngine(sim, net, partition=FlowPartition.by_site(net))
+    engine = FlowEngine(sim, net)
     f1 = engine.start_flow("s0h0", "s1h0", 1e9)
-    f2 = engine.start_flow("s0h1", "s1h0", 1e9)
+    engine.start_flow("s0h1", "s1h0", 1e9)
     fills = engine.full_allocations
     for _ in range(5):
         engine.current_rate(f1)
@@ -191,81 +78,18 @@ def test_memo_still_one_fill_per_generation():
 
 def test_decomposition_instrumentation_counts_rounds_and_summaries():
     sim = Simulation()
-    net = multi_site(sim, [[1e6], [1e6]], [5e5])
-    engine = FlowEngine(sim, net, partition=FlowPartition.by_site(net))
-    assert engine.fill_rounds == 0 and engine.summaries_merged == 0
-    flow = engine.start_flow("s0h0", "s1h0", 1e9)
-    engine.current_rate(flow)
-    # The path touches three shards (two LANs + WAN); every round
-    # merges one summary per live shard.
-    assert engine.fill_rounds >= 1
-    assert engine.summaries_merged >= engine.fill_rounds
-    flow.remaining = 0.0
-    mono = FlowEngine(Simulation(), multi_site(Simulation(), [[1e6]], []))
-    assert mono.fill_rounds == 0 and mono.summaries_merged == 0
-
-
-def test_decompose_switch_keeps_memo_valid():
-    """Toggling the protocol mid-run is execution strategy, not state."""
-    sim = Simulation()
     net = multi_site(sim, [[1e6, 1e6], [1e6]], [5e5])
     engine = FlowEngine(sim, net)
+    assert engine.fill_rounds == 0
+    assert not hasattr(engine, "summaries_merged")
     f1 = engine.start_flow("s0h0", "s1h0", 1e9)
-    before = engine.current_rate(f1)
-    fills = engine.full_allocations
-    engine.decompose(FlowPartition.by_host(net))
-    assert engine.current_rate(f1) == before  # memo reused, no refill
-    assert engine.full_allocations == fills
-    engine.start_flow("s0h1", "s1h0", 1e9)  # next generation fills
-    rates = engine._allocate()              # decomposed this time
-    assert engine.full_allocations == fills + 1
-    assert engine.fill_rounds >= 1
+    engine.current_rate(f1)
+    # One flow: its WAN bottleneck freezes it in a single round.
+    assert engine.fill_rounds == 1
+    engine.start_flow("s0h1", "s1h0", 1e9)
+    engine.current_rate(f1)
+    # Each round freezes at least one flow, so a refill over n flows
+    # runs between 1 and n rounds.
+    assert 2 <= engine.fill_rounds <= 1 + 2
     for flow in engine.active_flows:
         flow.remaining = 0.0
-    assert sum(rates.values()) <= 5e5 * (1 + 1e-9)
-
-
-# -- FlowPartition.group_of ---------------------------------------------------
-
-
-def test_partition_assigns_links_to_owners():
-    sim = Simulation()
-    net = multi_site(sim, [[1e6, 1e6], [1e6]], [5e5])
-    by_site = FlowPartition.by_site(net)
-    by_host = FlowPartition.by_host(net)
-    lan = net.link_between("s0h0", "r0")
-    wan = net.link_between("r0", "r1")
-    # Site model: a LAN link (host + its router) belongs to the site;
-    # the router-router backbone link is the WAN coordinator's.
-    assert by_site.group_of(lan) == "site0"
-    assert by_site.group_of(wan) == FlowPartition.WAN
-    # Host model: a router endpoint adopts the host's group, so access
-    # links stay owned by their host; everything interior is WAN.
-    assert by_host.group_of(lan) == "s0h0"
-    assert by_host.group_of(wan) == FlowPartition.WAN
-    # Memoized: the same Link object answers from the cache.
-    assert by_site.group_of(lan) == "site0"
-
-
-def test_partition_cross_group_host_link_is_wan():
-    sim = Simulation()
-    net = Network(sim)
-    net.add_host("a", site="left")
-    net.add_host("b", site="right")
-    net.add_link("a", "b", latency=0.01, bandwidth=1e6)
-    direct = net.link_between("a", "b")
-    assert FlowPartition.by_site(net).group_of(direct) == FlowPartition.WAN
-    assert FlowPartition.by_host(net).group_of(direct) == FlowPartition.WAN
-    same = Network(sim=Simulation())
-    same.add_host("c", site="left")
-    same.add_host("d", site="left")
-    same.add_link("c", "d", latency=0.01, bandwidth=1e6)
-    link = same.link_between("c", "d")
-    assert FlowPartition.by_site(same).group_of(link) == "left"
-
-
-def test_grid_rejects_unknown_flow_partition_model():
-    from repro.core.grid import VirtualGrid
-
-    with pytest.raises(SimulationError):
-        VirtualGrid(sim=Simulation(), flow_partition="galaxy")

@@ -71,13 +71,17 @@ def test_membership_change_invalidates_memo():
 def test_disjoint_join_and_leave_skip_refill():
     sim = Simulation()
     engine = FlowEngine(sim, disjoint_pairs(sim))
+    assert engine.fill_rounds == 0
     f1 = engine.start_flow("a", "b", 4e6)
     engine.link_usage()  # warm the memo
     fills = engine.full_allocations
+    rounds = engine.fill_rounds
+    assert rounds > 0  # the refill ran bottleneck rounds
     f2 = engine.start_flow("c", "d", 0.3e6)  # exclusive links: patched in
     assert engine.current_rate(f1) == pytest.approx(2e6)
     assert engine.current_rate(f2) == pytest.approx(3e6)
     assert engine.full_allocations == fills
+    assert engine.fill_rounds == rounds  # the patch ran zero rounds
     sim.run(until=0.2)  # f2 finishes alone at t=0.1; f1 is still moving
     assert f2.finished_at == pytest.approx(0.1)
     assert engine.current_rate(f1) == pytest.approx(2e6)
