@@ -135,18 +135,33 @@ record-smoke:
 	rm -f .record-smoke-a.jsonl .record-smoke-b.jsonl
 	$(PYTHON) -m pytest -x -q tests/obs/test_recorder.py
 
-# Model-layer fast paths must be invisible: regenerate Table 2, Table 1
-# and the fleet run at seed 42 and byte-compare each against its
-# committed golden (each recorded before the fast paths that touch it
-# landed — see docs/performance.md).
+# Model-layer fast paths must be invisible: regenerate Table 2, Table 1,
+# Figure 1 (default samples), the ablations, the migration run and the
+# fleet run at seed 42 and byte-compare each against its committed
+# golden (each recorded before the fast paths that touch it landed —
+# see docs/performance.md).  The table2 flight record pins the kernel
+# event sequence on the VM path (per-beat event counts), as the fleet
+# golden's `events` line does for the sharded world.
 golden-guard:
 	$(PYTHON) -m repro table2 --seed 42 > .golden-guard-table2.txt
 	cmp benchmarks/goldens/table2-seed42.txt .golden-guard-table2.txt
 	$(PYTHON) -m repro table1 --seed 42 > .golden-guard-table1.txt
 	cmp benchmarks/goldens/table1-seed42.txt .golden-guard-table1.txt
+	$(PYTHON) -m repro figure1 --seed 42 > .golden-guard-figure1.txt
+	cmp benchmarks/goldens/figure1-seed42.txt .golden-guard-figure1.txt
+	$(PYTHON) -m repro ablations --seed 42 > .golden-guard-ablations.txt
+	cmp benchmarks/goldens/ablations-seed42.txt .golden-guard-ablations.txt
+	$(PYTHON) -m repro migration --seed 42 > .golden-guard-migration.txt
+	cmp benchmarks/goldens/migration-seed42.txt .golden-guard-migration.txt
+	$(PYTHON) -m repro record table2 --seed 42 \
+	    --out .golden-guard-table2-record.jsonl > /dev/null
+	cmp benchmarks/goldens/table2-record-seed42.jsonl \
+	    .golden-guard-table2-record.jsonl
 	$(PYTHON) -m repro fleet --seed 42 > .golden-guard-fleet.txt
 	cmp benchmarks/goldens/fleet-seed42.txt .golden-guard-fleet.txt
 	rm -f .golden-guard-table2.txt .golden-guard-table1.txt \
+	    .golden-guard-figure1.txt .golden-guard-ablations.txt \
+	    .golden-guard-migration.txt .golden-guard-table2-record.jsonl \
 	    .golden-guard-fleet.txt
 
 # Kernel throughput microbenchmark: regenerates BENCH_kernel.json at

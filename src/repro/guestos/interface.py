@@ -11,7 +11,7 @@ Figure 1 / Table 1 measurement.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Callable, Optional
 
 from repro.guestos.costs import OsCosts
 from repro.hardware.cpu import CpuTask
@@ -42,6 +42,18 @@ class MachineInterface:
 
         Returns the *observed* ``(user, sys)`` CPU seconds — equal to the
         demand on physical hardware, dilated inside a VM.
+        """
+        raise NotImplementedError
+
+    def start_compute(self, pname: str, user_seconds: float,
+                      sys_seconds: float, rates: KernelEventRates,
+                      on_done: Callable[[float, float], None]) -> None:
+        """Start CPU demand without a process.
+
+        The callback form of :meth:`run_compute`: the same demand, the
+        same CPU membership changes at the same instants, but
+        ``on_done(user, sys)`` receives the observed CPU seconds where
+        the generator would have returned them.
         """
         raise NotImplementedError
 
@@ -86,6 +98,18 @@ class PhysicalHost(MachineInterface):
             task = CpuTask("%s@%s" % (pname, self.name), work=demand)
             yield self.machine.cpu.submit(task)
         return (user_seconds, sys_seconds)
+
+    def start_compute(self, pname: str, user_seconds: float,
+                      sys_seconds: float, rates: KernelEventRates,
+                      on_done: Callable[[float, float], None]) -> None:
+        """Submit the demand to the host CPU; ``on_done`` at completion."""
+        if user_seconds + sys_seconds > 0:
+            task = CpuTask("%s@%s" % (pname, self.name),
+                           work=user_seconds + sys_seconds)
+            self.machine.cpu.submit(task).callbacks.append(
+                lambda _event: on_done(user_seconds, sys_seconds))
+        else:
+            on_done(user_seconds, sys_seconds)
 
     def io_sys_seconds(self, nbytes: int, operations: int) -> float:
         return self.costs.io_sys_seconds(nbytes, operations)

@@ -10,7 +10,7 @@ virtual machines.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.guestos.interface import MachineInterface
 from repro.guestos.profile import GuestOsProfile
@@ -37,6 +37,9 @@ class ProcessResult:
     is "completely decoupled from the identities of its VM host"
     (Section 3.1), so it may freely be ``root``.
     """
+
+    __slots__ = ("name", "user_time", "sys_time", "started_at",
+                 "finished_at", "io_bytes", "guest_user")
 
     def __init__(self, name: str, user_time: float, sys_time: float,
                  started_at: float, finished_at: float, io_bytes: int,
@@ -246,6 +249,33 @@ class OperatingSystem:
                                guest_user=guest_user)
         self.results.append(result)
         return result
+
+    def start_compute(self, pname: str, user_seconds: float,
+                      sys_seconds: float, rates: KernelEventRates,
+                      on_exit: Callable[[ProcessResult], None]) -> None:
+        """Run a compute-only program without a process.
+
+        The callback form of :meth:`run_application` for one
+        :class:`ComputePhase` (host-load playback bursts): the demand
+        goes through :meth:`MachineInterface.start_compute`, and the
+        same :class:`ProcessResult` is appended to :attr:`results` —
+        then handed to ``on_exit`` — at the instant the process would
+        have returned it.
+        """
+        if not self.booted:
+            raise SimulationError("%s is not booted" % self.name)
+        started = self.sim.now
+
+        def finished(user: float, sys: float) -> None:
+            # ``x or 0.0`` is bit for bit the ``0.0 + x`` that
+            # run_application accumulates, without a new float per burst.
+            result = ProcessResult(pname, user or 0.0, sys or 0.0, started,
+                                   self.sim.now, 0)
+            self.results.append(result)
+            on_exit(result)
+
+        self.iface.start_compute(pname, user_seconds, sys_seconds, rates,
+                                 finished)
 
     def __repr__(self) -> str:
         state = "booted" if self.booted else "down"

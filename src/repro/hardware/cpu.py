@@ -224,8 +224,15 @@ class ProcessorSharingCpu:
         # while membership tests and removals are O(1) in the task
         # population.
         self._active: Dict[CpuTask, None] = {}
+        #: How many of ``_active`` run inside a group; while none do,
+        #: ``_sched_state`` skips the grouping pass.
+        self._grouped = 0
         self._last_update = sim.now
-        self._completion_generation = 0
+        #: The armed completion timer (None when nothing can finish).
+        #: A membership change disarms it in place — it keeps its heap
+        #: slot, so the kernel's event sequence is unchanged, but runs
+        #: no callback — and arms a fresh one.
+        self._timer: Optional[Event] = None
         #: CPU-level half of the population signature (immutable).
         self._param_sig = (self.cores, self.speed, self.quantum,
                            self.context_switch_cost)
@@ -245,10 +252,11 @@ class ProcessorSharingCpu:
         #: ``_reschedule`` + the ``_rates``/``_shares``/``_population``
         #: call chains).
         self._sched_cache: Optional[Tuple] = None
-        #: Fraction of total capacity in use, sampled at membership changes.
+        #: Fraction of total capacity in use, sampled at membership
+        #: changes (one sample per instant: the last change wins).
         self.utilization = TimeSeriesMonitor(name + ".utilization",
                                              window=MONITOR_WINDOW)
-        #: Number of host-schedulable entities, sampled at changes.
+        #: Number of host-schedulable entities, sampled likewise.
         self.run_queue = TimeSeriesMonitor(name + ".runqueue",
                                            window=MONITOR_WINDOW)
 
@@ -271,9 +279,11 @@ class ProcessorSharingCpu:
         self._advance()
         if task.remaining <= _WORK_EPSILON:
             task.finished_at = self.sim.now
-            task.done.succeed(task)
+            task.done.succeed()
         else:
             self._active[task] = None
+            if task.group is not None:
+                self._grouped += 1
             self._invalidate()
         self._reschedule()
         return task.done
@@ -293,6 +303,8 @@ class ProcessorSharingCpu:
         if task not in self._active:
             raise SimulationError("task %s is not active" % task.name)
         del self._active[task]
+        if task.group is not None:
+            self._grouped -= 1
         self._invalidate()
         self._reschedule()
         return task.remaining
@@ -385,18 +397,21 @@ class ProcessorSharingCpu:
         """
         state = self._sched_cache
         if state is None:
-            singles: List[CpuTask] = []
             groups: Dict[TaskGroup, List[CpuTask]] = {}
-            for task in self._active:  # simlint: disable=R22  processor sharing recomputes shares over the host's runnable set; per-host multiprogramming, memoized per epoch
-                group = task.group
-                if group is None:
-                    singles.append(task)
-                else:
-                    members = groups.get(group)
-                    if members is None:
-                        groups[group] = [task]
+            if not self._grouped:
+                singles = list(self._active)
+            else:
+                singles = []
+                for task in self._active:  # simlint: disable=R22  processor sharing recomputes shares over the host's runnable set; per-host multiprogramming, memoized per epoch
+                    group = task.group
+                    if group is None:
+                        singles.append(task)
                     else:
-                        members.append(task)
+                        members = groups.get(group)
+                        if members is None:
+                            groups[group] = [task]
+                        else:
+                            members.append(task)
             # Shares and rates are pure functions of the numeric
             # population signature below; the same few signatures recur
             # across epochs *and* replications, so the results are
@@ -518,8 +533,8 @@ class ProcessorSharingCpu:
             items = self._sched_state()[5]
             speed = self.speed
             for task, rate, share in items:
-                task.remaining = max(0.0,
-                                     task.remaining - elapsed * rate)
+                remaining = task.remaining - elapsed * rate
+                task.remaining = remaining if remaining > 0.0 else 0.0
                 consumed = elapsed * share * speed
                 task.cpu_consumed += consumed
                 group = task.group
@@ -533,35 +548,40 @@ class ProcessorSharingCpu:
         finished = [t for t in self._active if t.remaining <= _WORK_EPSILON]  # simlint: disable=R22  completion sweep over the per-host runnable set; see _sched_state
         for task in finished:
             del self._active[task]
+            if task.group is not None:
+                self._grouped -= 1
             task.remaining = 0.0
             task.finished_at = now
-            task.done.succeed(task)
+            task.done.succeed()
         if finished:
             self._invalidate()
         state = self._sched_state()
         singles, groups = state[0], state[1]
         share_sum, items = state[4], state[5]
-        self.utilization.record(
+        self.utilization.record_latest(
             now, share_sum / self.cores if self._active else 0.0)
-        self.run_queue.record(now, float(len(singles) + len(groups)))
+        self.run_queue.record_latest(now, float(len(singles) + len(groups)))
 
-        self._completion_generation += 1
-        generation = self._completion_generation
+        timer = self._timer
+        if timer is not None and timer.callbacks:
+            timer.callbacks.pop()  # superseded: disarm, keep the slot
         horizon = math.inf
         for task, rate, _share in items:
             if rate > 0:
-                horizon = min(horizon, task.remaining / rate)
+                until = task.remaining / rate
+                if until < horizon:
+                    horizon = until
         if horizon is math.inf:
+            self._timer = None
             return
+        timer = self._timer = self.sim.timeout(
+            horizon if horizon > 0.0 else 0.0)
+        timer.callbacks.append(self._fire)
 
-        def fire(event, generation=generation):
-            if generation != self._completion_generation:
-                return  # superseded by a later membership change
-            self._advance()
-            self._reschedule()
-
-        timer = self.sim.timeout(max(horizon, 0.0))
-        timer.callbacks.append(fire)
+    def _fire(self, _timer: Event) -> None:
+        """The armed completion timer came due."""
+        self._advance()
+        self._reschedule()
 
     def __repr__(self) -> str:
         return "<ProcessorSharingCpu %s cores=%d active=%d>" % (

@@ -504,6 +504,22 @@ class Simulation:
         self._enqueue_event(event, delay=when - self.now)
         return event
 
+    def call_soon(self, callback: Callable[[Event], None]) -> Event:
+        """Run ``callback(event)`` at the current instant, process-style.
+
+        The event takes the ``(now, priority, id)`` queue key that the
+        start of a process spawned here would take, so replacing a
+        short-lived :meth:`spawn` with a callback leaves the order of
+        every other event unchanged.  For model work that needs no
+        generator (a compute burst that only waits on callbacks).
+        """
+        event = Event(self)
+        event._ok = True
+        event._value = None
+        event.callbacks.append(callback)
+        self._enqueue_event(event, priority=Simulation._PRIORITY_HIGH)
+        return event
+
     @property
     def active_process(self) -> Optional[Process]:
         """The process currently being resumed, if any."""

@@ -198,14 +198,39 @@ class TimeSeriesMonitor:
 
     def record(self, time: float, value: float) -> None:
         """Append a sample; times must be non-decreasing."""
-        if self.times and time < self.times[-1]:
+        times = self.times
+        if times and time < times[-1]:
             raise ValueError("samples must be recorded in time order")
+        time = float(time)
         if self._origin_time is None:
-            self._origin_time = float(time)
-        self.times.append(float(time))
+            self._origin_time = time
+        times.append(time)
         self.values.append(float(value))
-        if self.window is not None or self.max_samples is not None:
+        # A window-only policy evicts nothing until the second sample
+        # has fallen out of the window.
+        if self.max_samples is not None or (
+                self.window is not None and len(times) > 1
+                and times[1] <= time - self.window):
             self._trim()
+
+    def record_latest(self, time: float, value: float) -> None:
+        """Record a sample, keeping one sample per instant.
+
+        A sample at the same instant as the last one replaces it
+        instead of appending.  Every query of the step function is
+        unchanged by this — :meth:`time_average` skips zero-width
+        segments (full range, windowed, and across evictions) and
+        :meth:`value_at`/:attr:`last_value` already return the last
+        sample at an instant — while the series stops growing with
+        same-instant bursts of changes.
+        """
+        times = self.times
+        if times and time <= times[-1]:
+            if time < times[-1]:
+                raise ValueError("samples must be recorded in time order")
+            self.values[-1] = float(value)
+        else:
+            self.record(time, value)
 
     def _trim(self) -> None:
         """Evict the prefix outside the retention policy, keeping the

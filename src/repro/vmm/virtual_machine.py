@@ -18,14 +18,15 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.guestos.costs import OsCosts
 from repro.guestos.interface import MachineInterface
 from repro.guestos.kernel import OperatingSystem
 from repro.guestos.profile import GuestOsProfile
 from repro.hardware.cpu import CpuTask, TaskGroup
-from repro.simulation.kernel import Event, Interrupt, SimulationError
+from repro.simulation.kernel import (Condition, Event, Interrupt,
+                                     SimulationError)
 from repro.storage.localfs import LocalFileSystem
 from repro.vmm.costs import VmmCosts
 from repro.vmm.disk_image import VirtualDisk
@@ -111,9 +112,10 @@ class VirtualMachine(MachineInterface):
         #: Accumulated sys time charged by restores/migrations, drained
         #: into the next process accounting.
         self._pending_sys = 0.0
-        #: Processes currently executing guest compute (crash targets).
-        #: Dict-as-ordered-set: crash() interrupts them in submission
-        #: order, keeping the event queue reproducible.
+        #: Processes and process-free bursts currently executing guest
+        #: compute (crash targets).  Dict-as-ordered-set: crash() stops
+        #: them in submission order, keeping the event queue
+        #: reproducible.
         self._computations: Dict = {}
 
     # -- MachineInterface -------------------------------------------------------
@@ -131,15 +133,15 @@ class VirtualMachine(MachineInterface):
         """The CPU of whatever host currently runs this VM."""
         return self.vmm.machine.cpu
 
-    def run_compute(self, pname: str, user_seconds: float,
-                    sys_seconds: float, rates: KernelEventRates):
-        """Execute guest CPU demand with trap-and-emulate dilation.
+    def _observed(self, user_seconds: float, sys_seconds: float,
+                  rates: KernelEventRates) -> Tuple[float, float]:
+        """Observed ``(user, sys)`` CPU seconds of one guest demand.
 
         Observed user time grows with the guest's page-fault and timer
         rates; observed sys time grows by the privileged-instruction
-        dilation factor plus per-syscall trap costs.  The combined demand
-        runs on the host CPU inside the VM's task group; if the VM
-        migrates mid-computation the remaining work moves with it.
+        dilation factor plus per-syscall trap costs, and absorbs the
+        device-emulation and restore/migration CPU owed so far (both
+        debts are drained here, once per demand).
         """
         if self.state not in (VmState.RUNNING, VmState.STARTING,
                               VmState.MIGRATING, VmState.SUSPENDED):
@@ -157,6 +159,17 @@ class VirtualMachine(MachineInterface):
         # Device-emulation CPU owed by recent virtual disk activity.
         sys_obs += self.vdisk.drain_pending_io_cpu()
         sys_obs += self._drain_pending_sys()
+        return user_obs, sys_obs
+
+    def run_compute(self, pname: str, user_seconds: float,
+                    sys_seconds: float, rates: KernelEventRates):
+        """Execute guest CPU demand with trap-and-emulate dilation.
+
+        The dilated demand (:meth:`_observed`) runs on the host CPU
+        inside the VM's task group; if the VM migrates mid-computation
+        the remaining work moves with it.
+        """
+        user_obs, sys_obs = self._observed(user_seconds, sys_seconds, rates)
         remaining = user_obs + sys_obs
         me = self.sim.active_process
         if me is not None:
@@ -168,9 +181,11 @@ class VirtualMachine(MachineInterface):
                                work=remaining, group=self.group)
                 cpu.submit(task)
                 rebind = self._rebind_event
+                woke = self.sim.any_of([task.done, rebind])
                 try:
-                    yield self.sim.any_of([task.done, rebind])
+                    yield woke
                 except Interrupt as interrupt:
+                    _unhook(woke, rebind)
                     if not task.done.triggered:
                         cpu.cancel(task)
                     if interrupt.cause == "vm-crashed":
@@ -178,6 +193,7 @@ class VirtualMachine(MachineInterface):
                                         % (self.name, pname))
                     raise
                 if task.done.triggered:
+                    _unhook(woke, rebind)
                     remaining = 0.0
                 else:
                     # Migration landed mid-flight: carry the work along.
@@ -186,6 +202,22 @@ class VirtualMachine(MachineInterface):
             if me is not None:
                 self._computations.pop(me, None)
         return (user_obs, sys_obs)
+
+    def start_compute(self, pname: str, user_seconds: float,
+                      sys_seconds: float, rates: KernelEventRates,
+                      on_done: Callable[[float, float], None]) -> None:
+        """Callback form of :meth:`run_compute` (no process).
+
+        Same dilation, same tasks, same rebind wake-ups; a crash
+        cancels the work and ``on_done`` is never called.
+        """
+        user_obs, sys_obs = self._observed(user_seconds, sys_seconds, rates)
+        remaining = user_obs + sys_obs
+        if remaining > 1e-12:
+            _GuestBurst(self, pname, user_obs, sys_obs, on_done)._submit(
+                remaining)
+        else:
+            on_done(user_obs, sys_obs)
 
     def io_sys_seconds(self, nbytes: int, operations: int) -> float:
         """Native I/O path cost plus per-byte device emulation.
@@ -237,9 +269,11 @@ class VirtualMachine(MachineInterface):
                                   % self.name)
         self._set_state(VmState.TERMINATED)
         self.guest_os.booted = False
-        for proc in list(self._computations):
-            if proc.is_alive:
-                proc.interrupt(cause="vm-crashed")
+        for computation in list(self._computations):
+            if type(computation) is _GuestBurst:
+                computation.abort()
+            elif computation.is_alive:
+                computation.interrupt(cause="vm-crashed")
         self.vmm._evict(self)
 
     def land_on(self, new_vmm) -> None:
@@ -269,3 +303,60 @@ class VirtualMachine(MachineInterface):
     def __repr__(self) -> str:
         return "<VirtualMachine %s %s on %s>" % (
             self.name, self.state.value, self.vmm.machine.name)
+
+
+def _unhook(woke: Condition, rebind: Event) -> None:
+    """Drop a finished wait's callback from the VM's long-lived rebind
+    event, so it does not pile up there until the next migration."""
+    callbacks = rebind.callbacks
+    if callbacks is not None:
+        callbacks.remove(woke._check)
+
+
+class _GuestBurst:
+    """One process-free guest computation (:meth:`VirtualMachine
+    .start_compute`): the loop of :meth:`VirtualMachine.run_compute`
+    as callbacks, waking on the same ``any_of(done, rebind)``."""
+
+    __slots__ = ("vm", "pname", "user_obs", "sys_obs", "on_done", "cpu",
+                 "task", "woke", "rebind")
+
+    def __init__(self, vm: VirtualMachine, pname: str, user_obs: float,
+                 sys_obs: float, on_done: Callable[[float, float], None]):
+        self.vm = vm
+        self.pname = pname
+        self.user_obs = user_obs
+        self.sys_obs = sys_obs
+        self.on_done = on_done
+        vm._computations[self] = None
+
+    def _submit(self, remaining: float) -> None:
+        vm = self.vm
+        cpu = self.cpu = vm.host_cpu
+        task = self.task = CpuTask("%s@%s" % (self.pname, vm.name),
+                                   work=remaining, group=vm.group)
+        cpu.submit(task)
+        rebind = self.rebind = vm._rebind_event
+        woke = self.woke = vm.sim.any_of([task.done, rebind])
+        woke.callbacks.append(self._wake)
+
+    def _wake(self, woke: Condition) -> None:
+        remaining = 0.0
+        if self.task.done.triggered:
+            _unhook(woke, self.rebind)
+        else:
+            # Migration landed mid-flight: carry the work along.
+            remaining = self.cpu.cancel(self.task)
+        if remaining > 1e-12:
+            self._submit(remaining)
+            return
+        del self.vm._computations[self]
+        self.on_done(self.user_obs, self.sys_obs)
+
+    def abort(self) -> None:
+        """The VM crashed: take the work off the CPU, report nothing."""
+        del self.vm._computations[self]
+        self.woke.callbacks.remove(self._wake)
+        _unhook(self.woke, self.rebind)
+        if not self.task.done.triggered:
+            self.cpu.cancel(self.task)

@@ -15,14 +15,11 @@ from __future__ import annotations
 
 import math
 import random
-from typing import List, Optional
+from array import array
+from typing import Iterator, List, Optional, Sequence
 
 from repro.simulation.kernel import SimulationError
-from repro.workloads.applications import (
-    Application,
-    ComputePhase,
-    KernelEventRates,
-)
+from repro.workloads.applications import KernelEventRates
 
 __all__ = ["HostLoadTrace", "LoadPlayback"]
 
@@ -32,37 +29,73 @@ _BURST_RATES = KernelEventRates(syscalls_per_sec=120.0,
 
 
 class HostLoadTrace:
-    """A sequence of load-average samples at a fixed interval."""
+    """A sequence of load-average samples at a fixed interval.
 
-    def __init__(self, values: List[float], interval: float = 1.0,
+    The samples live in a fixed-length array of doubles.  A synthetic
+    trace fills it lazily: samples are drawn from the trace's own
+    stream on first use, in index order — exactly the draws an eager
+    generation would make — so a playback that covers part of a long
+    trace never pays for the rest.  :attr:`values` (and :attr:`mean`)
+    draw whatever is still missing.
+    """
+
+    def __init__(self, values: Sequence[float], interval: float = 1.0,
                  name: str = "trace"):
         if interval <= 0:
             raise SimulationError("trace interval must be positive")
         if any(v < 0 for v in values):
             raise SimulationError("load values must be non-negative")
-        self.values = [float(v) for v in values]
+        self._samples = array("d", values)
+        #: ``_samples[:_drawn]`` are drawn; the rest are placeholders
+        #: until ``_source`` (None once every sample is drawn) reaches
+        #: them.
+        self._drawn = len(self._samples)
+        self._source: Optional[Iterator[float]] = None
         self.interval = float(interval)
         self.name = name
 
     def __len__(self) -> int:
-        return len(self.values)
+        return len(self._samples)
+
+    @property
+    def values(self) -> List[float]:
+        """Every sample of the trace (draws any still missing)."""
+        self._draw(len(self._samples))
+        return self._samples.tolist()
+
+    def load(self, index: int) -> float:
+        """The sample at ``index`` (``0 <= index < len(self)``)."""
+        if index >= self._drawn:
+            self._draw(index + 1)
+        return self._samples[index]
+
+    def _draw(self, count: int) -> None:
+        """Extend the drawn prefix to ``count`` samples."""
+        samples = self._samples
+        source = self._source
+        for index in range(self._drawn, count):
+            samples[index] = next(source)
+        if count > self._drawn:
+            self._drawn = count
+            if count >= len(samples):
+                self._source = None
 
     @property
     def duration(self) -> float:
         """Seconds of load the trace covers before repeating."""
-        return len(self.values) * self.interval
+        return len(self._samples) * self.interval
 
     @property
     def mean(self) -> float:
         """Average load over the trace."""
-        return sum(self.values) / len(self.values) if self.values else 0.0
+        values = self.values
+        return sum(values) / len(values) if values else 0.0
 
     def value_at(self, time: float) -> float:
         """Load during the interval containing ``time`` (trace repeats)."""
-        if not self.values:
+        if not self._samples:
             return 0.0
-        index = int(time / self.interval) % len(self.values)
-        return self.values[index]
+        return self.load(int(time / self.interval) % len(self._samples))
 
     # -- constructors -----------------------------------------------------------
 
@@ -81,22 +114,20 @@ class HostLoadTrace:
         ``mean`` sets the long-run load average; ``autocorrelation`` the
         epoch-to-epoch persistence (PSC traces are strongly
         autocorrelated); ``burstiness`` the coefficient of variation.
+        The trace owns ``rng`` from here on: samples are drawn from it
+        lazily, so nothing else may draw from the same stream.
         """
         if mean < 0:
             raise SimulationError("mean load must be non-negative")
         if not 0 <= autocorrelation < 1:
             raise SimulationError("autocorrelation must be in [0, 1)")
-        values = []
-        state = 0.0
-        sigma = math.sqrt(1.0 - autocorrelation ** 2)
-        for _i in range(length):
-            state = autocorrelation * state + sigma * rng.gauss(0.0, 1.0)
-            level = mean * math.exp(burstiness * state
-                                    - 0.5 * burstiness ** 2)
-            if rng.random() < spike_probability:
-                level += mean * rng.uniform(1.0, 3.0)
-            values.append(max(0.0, level))
-        return cls(values, interval, name=name)
+        trace = cls([], interval, name=name)
+        if length > 0:
+            trace._samples = array("d", bytes(8 * length))
+            trace._drawn = 0
+            trace._source = _ar1_levels(mean, rng, autocorrelation,
+                                        burstiness, spike_probability)
+        return trace
 
     @classmethod
     def light(cls, rng: random.Random, length: int = 300,
@@ -112,8 +143,52 @@ class HostLoadTrace:
 
     def __repr__(self) -> str:
         return "<HostLoadTrace %s n=%d mean=%.2f>" % (self.name,
-                                                      len(self.values),
+                                                      len(self._samples),
                                                       self.mean)
+
+
+def _ar1_levels(mean: float, rng: random.Random, autocorrelation: float,
+                burstiness: float,
+                spike_probability: float) -> Iterator[float]:
+    """The endless sample stream behind :meth:`HostLoadTrace.synthetic`."""
+    state = 0.0
+    sigma = math.sqrt(1.0 - autocorrelation ** 2)
+    while True:
+        state = autocorrelation * state + sigma * rng.gauss(0.0, 1.0)
+        level = mean * math.exp(burstiness * state
+                                - 0.5 * burstiness ** 2)
+        if rng.random() < spike_probability:
+            level += mean * rng.uniform(1.0, 3.0)
+        yield max(0.0, level)
+
+
+class _Burst:
+    """One playback burst, alive from its spawn until its process-free
+    run on the OS exits (see :meth:`OperatingSystem.start_compute`).
+
+    It starts through :meth:`Simulation.call_soon`, at the queue
+    position a spawned process would have started at.
+    """
+
+    __slots__ = ("os", "name", "work", "started", "is_alive")
+
+    def __init__(self, os, name: str, work: float):
+        self.os = os
+        self.name = name
+        self.work = work
+        self.started = os.sim.now
+        self.is_alive = True
+        os.sim.call_soon(self._start)
+
+    def _start(self, _event) -> None:
+        if self.os.booted:
+            self.os.start_compute(self.name, self.work, 0.0, _BURST_RATES,
+                                  self._exit)
+        else:
+            self.is_alive = False  # the OS died before the burst began
+
+    def _exit(self, _result) -> None:
+        self.is_alive = False
 
 
 class LoadPlayback:
@@ -122,7 +197,10 @@ class LoadPlayback:
     Every ``trace.interval`` seconds the playback spawns compute bursts
     totalling ``load x interval`` CPU-seconds: one full burst per whole
     unit of load plus one fractional burst, mirroring how a load average
-    of 2.4 means "2.4 runnable processes".
+    of 2.4 means "2.4 runnable processes".  Bursts run without a
+    process each (they only wait on the CPU); the playback stops once
+    its OS is no longer booted (a crashed VM cancels the bursts still
+    in flight).
 
     ``os`` is any booted :class:`repro.guestos.kernel.OperatingSystem`
     (host or guest) — imported lazily to keep this package dependency-free.
@@ -134,25 +212,22 @@ class LoadPlayback:
         self.work_injected = 0.0
         self.work_dropped = 0.0
         self._burst_counter = 0
-        self._alive: list = []
-
-    def _burst_app(self, work: float) -> Application:
-        self._burst_counter += 1
-        return Application("load-burst-%d" % self._burst_counter,
-                           [ComputePhase(work, 0.0, _BURST_RATES)])
+        self._alive: List[_Burst] = []
 
     def run(self, duration: float):
         """Process generator: play the trace for ``duration`` seconds."""
         sim = self.os.sim
         end = sim.now + duration
         position = 0
-        values = self.trace.values
-        nvalues = len(values)
-        overdue_after = 1.05 * self.trace.interval
+        trace = self.trace
+        nvalues = len(trace)
+        overdue_after = 1.05 * trace.interval
         while sim.now < end - 1e-9:
-            load = values[position % nvalues] if nvalues else 0.0
+            if not self.os.booted:
+                break
+            load = trace.load(position % nvalues) if nvalues else 0.0
             position += 1
-            interval = min(self.trace.interval, end - sim.now)
+            interval = min(trace.interval, end - sim.now)
             total_work = load * interval
             if total_work > 0:
                 # Like the real playback tool, recreate the *current*
@@ -166,19 +241,19 @@ class LoadPlayback:
                 now = sim.now
                 alive = []
                 overdue = 0
-                for entry in self._alive:
-                    if entry[0].is_alive:
-                        alive.append(entry)
-                        if now - entry[1] > overdue_after:
+                for burst in self._alive:
+                    if burst.is_alive:
+                        alive.append(burst)
+                        if now - burst.started > overdue_after:
                             overdue += 1
-                self._alive[:] = alive
+                self._alive = alive
                 to_spawn = max(0, bursts - overdue)
                 per_burst = total_work / bursts
                 for _i in range(to_spawn):
-                    app = self._burst_app(per_burst)
-                    self._alive.append((sim.spawn(
-                        self.os.run_application(app), name="loadburst"),
-                        sim.now))
+                    self._burst_counter += 1
+                    alive.append(_Burst(
+                        self.os, "load-burst-%d" % self._burst_counter,
+                        per_burst))
                 self.work_injected += per_burst * to_spawn
                 self.work_dropped += per_burst * (bursts - to_spawn)
             yield sim.timeout(interval)
