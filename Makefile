@@ -141,7 +141,9 @@ record-smoke:
 # golden (each recorded before the fast paths that touch it landed —
 # see docs/performance.md).  The table2 flight record pins the kernel
 # event sequence on the VM path (per-beat event counts), as the fleet
-# golden's `events` line does for the sharded world.
+# golden's `events` line does for the sharded world; the three
+# life-cycle Chrome traces pin the single-session worlds of
+# src/repro/scenarios.py span by span.
 golden-guard:
 	$(PYTHON) -m repro table2 --seed 42 > .golden-guard-table2.txt
 	cmp benchmarks/goldens/table2-seed42.txt .golden-guard-table2.txt
@@ -159,10 +161,16 @@ golden-guard:
 	    .golden-guard-table2-record.jsonl
 	$(PYTHON) -m repro fleet --seed 42 > .golden-guard-fleet.txt
 	cmp benchmarks/goldens/fleet-seed42.txt .golden-guard-fleet.txt
+	for world in table1 table2 figure1; do \
+	    $(PYTHON) -m repro trace $$world --seed 42 \
+	        --out .golden-guard-$$world-trace.json > /dev/null && \
+	    cmp benchmarks/goldens/$$world-trace-seed42.json \
+	        .golden-guard-$$world-trace.json || exit 1; \
+	done
 	rm -f .golden-guard-table2.txt .golden-guard-table1.txt \
 	    .golden-guard-figure1.txt .golden-guard-ablations.txt \
 	    .golden-guard-migration.txt .golden-guard-table2-record.jsonl \
-	    .golden-guard-fleet.txt
+	    .golden-guard-fleet.txt .golden-guard-*-trace.json
 
 # Kernel throughput microbenchmark: regenerates BENCH_kernel.json at
 # the repo root (events/sec for the hot-path workloads, pre-PR

@@ -25,7 +25,7 @@ import pytest
 from repro.experiments.ablations import run_staging_ablation
 from repro.experiments.figure1 import run_figure1
 from repro.experiments.table2 import run_table2
-from repro.obs.runner import run_scenario
+from repro.scenarios import run_scenario
 
 pytestmark = [pytest.mark.bench, pytest.mark.slow]
 
@@ -92,7 +92,7 @@ def test_experiment_throughput(report):
             "figure1": "run_figure1(seed=42, samples=1000), best of 3",
             "table2": "run_table2(seed=42, samples=1000), single round",
             "staging_ablation": "run_staging_ablation(), best of 5",
-            "scenarios": "obs run_scenario(name, seed=42), best of 5",
+            "scenarios": "scenarios run_scenario(name, seed=42), best of 5",
         },
         "baseline": dict(PRE_PR_BASELINE),
         "current": {

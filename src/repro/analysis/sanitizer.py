@@ -21,8 +21,9 @@ events and resources leak.  Four hazard classes:
   replication runner's canonical fold order.
 
 The sanitizer is a :class:`~repro.obs.tracer.Tracer`: attach it with
-``Simulation(tracer=DeterminismSanitizer())`` (the obs runner does this
-for ``repro sanitize``).  It never mutates simulation state, so a
+``Simulation(tracer=DeterminismSanitizer())``
+(:func:`repro.scenarios.run_scenario` does this for ``repro
+sanitize``).  It never mutates simulation state, so a
 sanitized run produces byte-identical results to a plain one; with the
 sanitizer off, the kernel pays only the usual one-boolean hook guard.
 

@@ -84,7 +84,7 @@ class ShardAffinitySanitizer(DeterminismSanitizer):
     def bind_grid(self, grid) -> None:
         """Learn the host -> partition map from a built VirtualGrid.
 
-        Called by :func:`repro.obs.runner.run_scenario` (duck-typed)
+        Called by :func:`repro.scenarios.run_scenario` (duck-typed)
         once the topology exists; until then every context is unowned
         and the checker stays silent.
         """

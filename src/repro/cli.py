@@ -2,31 +2,45 @@
 
 Usage::
 
-    python -m repro table1 [--scale 1.0] [--workers 4]
-    python -m repro table2 [--samples 10] [--workers 4]
-    python -m repro figure1 [--samples 150] [--workers 4]
+    python -m repro SCENARIO [--seed N] [--samples N] [--workers N]
+    python -m repro all [--seed N]
     python -m repro fleet [--sites 3] [--sessions 3] [--shards 4]
                           [--interval T] [--out flight.jsonl]
-    python -m repro ablations [--workers 4]
-    python -m repro overlay
-    python -m repro migration
-    python -m repro all
+    python -m repro {trace,metrics,record,report,sanitize} WORLD [--seed N]
+    python -m repro profile SCENARIO [--seed N] [--top K]
     python -m repro analyze [--path SRC ...] [--deep] [--shard]
                             [--scale] [--shard-inventory FILE]
                             [--scale-inventory FILE] [--explain RULE]
                             [--json | --sarif] [--baseline FILE]
-    python -m repro sanitize {figure1,table1,table2} [--seed N]
-                             [--shard-model {site,host}]
-    python -m repro trace {figure1,table1,table2} [--out trace.json]
-    python -m repro metrics {figure1,table1,table2} [--json]
-    python -m repro record {figure1,table1,table2} [--interval T]
-                           [--capacity N] [--out FILE]
-    python -m repro report {figure1,table1,table2} [--interval T]
-                           [--format {text,markdown}]
-    python -m repro profile {figure1,table1,table2} [--seed N] [--top K]
 
-Each experiment command prints the same tables the benchmark harness
-archives; ``analyze`` runs the simlint static-analysis pass (see
+A SCENARIO is a row of the table in :mod:`repro.scenarios`: ``table1``
+(``--scale F``), ``table2``, ``figure1``, ``fleet``, ``ablations``,
+``overlay`` or ``migration``.  Each prints the same table the
+benchmark harness archives, at the row's default ``--samples`` (150
+for figure1, 10 otherwise) unless one is given; ``all`` prints every
+row but fleet.  A WORLD is a row with a single-session life-cycle
+world (``table1``, ``figure1``, ``table2``).
+
+``trace`` replays that life cycle and writes a Chrome-trace-event JSON
+file (``--out``; load it at ui.perfetto.dev); ``metrics`` prints the
+metrics registry after the same run (``--json``).  ``record`` replays
+it with a flight recorder heartbeating every ``--interval`` simulated
+seconds and writes the snapshot ring as JSONL (``--capacity``,
+``--out``; byte-identical per seed); ``report`` renders the same run
+as an operator report — throughput, latency percentiles, utilization,
+SLA violations and a per-partition rollup (``--format
+text|markdown``).  See ``docs/observability.md``.  ``sanitize``
+replays it under the simsan runtime determinism sanitizer and exits
+non-zero on hazards or output divergence; ``--shard-model site|host``
+swaps in the shard-affinity sanitizer, which additionally reports
+cross-partition event deliveries (zero-delay ones are hazards,
+lookahead-covered ones informational).
+
+``profile`` runs a scenario's real artifact in this process under
+:mod:`cProfile`, at the scale the scenario options set, and prints the
+top functions by cumulative time (``docs/performance.md``).
+
+``analyze`` runs the simlint static-analysis pass (see
 ``docs/static_analysis.md``) and exits non-zero on findings —
 ``--deep`` adds the interprocedural dataflow rules R11-R14,
 ``--shard`` the shard-affinity rules R15-R19 (``--shard-inventory``
@@ -34,23 +48,6 @@ also regenerates ``docs/shard-safety.md``) and ``--scale`` the
 growth-dimension rules R22-R26 (``--scale-inventory`` also regenerates
 ``docs/scale-readiness.md``); ``--explain R22`` prints one rule's full
 documentation.
-``sanitize`` replays a scenario under the simsan runtime determinism
-sanitizer and exits non-zero on hazards or output divergence;
-``--shard-model site|host`` swaps in the shard-affinity sanitizer,
-which additionally reports cross-partition event deliveries
-(zero-delay ones are hazards, lookahead-covered ones informational).  ``trace``
-replays a representative session life cycle for an experiment and
-writes a Chrome-trace-event JSON file (load it at ui.perfetto.dev);
-``metrics`` prints the metrics registry after the same run.  ``record``
-replays the run with a flight recorder heartbeating every ``--interval``
-simulated seconds and writes the snapshot ring as JSONL (byte-identical
-per seed); ``report`` renders the same run as an operator report —
-throughput, latency percentiles, utilization, SLA violations and a
-per-partition rollup.  See ``docs/observability.md``.
-``profile`` replays the same life cycle
-under :mod:`cProfile` and prints the top functions by cumulative time
-(``docs/performance.md``) — the entry point every fast path in the
-model layer was justified from.
 
 ``--workers N`` fans independent replications (Table 1's macro runs,
 Table 2's samples, Figure 1's scenarios, the ablation worlds) across N
@@ -77,173 +74,45 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.core.reporting import format_table
+from repro.scenarios import LIFECYCLE, SCENARIOS, run_scenario, scenario
 
 __all__ = ["main"]
 
 
-def _cmd_table1(args) -> None:
-    from repro.experiments.table1 import run_table1
-
-    scale = float(args.scale) if args.scale is not None else 1.0
-    rows = run_table1(scale=scale, seed=args.seed, workers=args.workers)
-    print(format_table(
-        ["Application", "Resource", "User(s)", "Sys(s)", "Total(s)",
-         "Overhead"],
-        [[r.application, r.resource, "%.0f" % r.user_time,
-          "%.1f" % r.sys_time, "%.0f" % r.total_time,
-          "%.2f%%" % (100 * r.overhead) if r.overhead is not None
-          else "N/A"] for r in rows],
-        title="Table 1: macrobenchmark results"))
-
-
-def _cmd_table2(args) -> None:
-    from repro.experiments.table2 import run_table2
-
-    rows = run_table2(samples=args.samples, seed=args.seed,
-                      workers=args.workers)
-    print(format_table(
-        ["Start", "Storage", "Mean(s)", "Std", "Min", "Max"],
-        [[r.start_mode, r.storage_mode, "%.1f" % r.mean, "%.1f" % r.std,
-          "%.1f" % r.minimum, "%.1f" % r.maximum] for r in rows],
-        title="Table 2: VM startup times via globusrun"))
-
-
-def _cmd_figure1(args) -> None:
-    from repro.experiments.figure1 import run_figure1
-
-    results = run_figure1(samples=args.samples, seed=args.seed,
-                          workers=args.workers)
-    print(format_table(
-        ["Load", "Test on", "Load on", "Mean slowdown", "Std"],
-        [[r.load_level, r.test_on, r.load_on, "%.3f" % r.mean_slowdown,
-          "%.3f" % r.std_slowdown] for r in results],
-        title="Figure 1: microbenchmark slowdown (12 scenarios)"))
-
-
-def _cmd_ablations(args) -> None:
-    from repro.experiments.ablations import (
-        run_proxy_cache_ablation,
-        run_scheduler_ablation,
-        run_staging_ablation,
-    )
-
-    cache = run_proxy_cache_ablation(seed=args.seed, workers=args.workers)
-    print(format_table(
-        ["Proxy cache", "Cold(s)", "Warm mean(s)"],
-        [["on" if r.proxy_cache else "off", "%.1f" % r.cold,
-          "%.1f" % r.warm_mean] for r in cache],
-        title="A1: proxy cache"))
-    print()
-    sched = run_scheduler_ablation(seed=args.seed, workers=args.workers)
-    print(format_table(
-        ["Mechanism", "VM", "Target", "Achieved"],
-        [[r.mechanism, r.vm, "%.3f" % r.target, "%.3f" % r.achieved]
-         for r in sched],
-        title="A2: enforcement mechanisms"))
-    print()
-    staging = run_staging_ablation(workers=args.workers)
-    print(format_table(
-        ["Fraction", "On-demand(s)", "Staged(s)", "Winner"],
-        [["%.2f" % p.fraction, "%.1f" % p.on_demand_time,
-          "%.1f" % p.staged_time,
-          "on-demand" if p.on_demand_wins else "staged"]
-         for p in staging],
-        title="A3: staging vs on-demand"))
-
-
-def _cmd_fleet(args) -> None:
-    from repro.experiments.fleet import run_fleet
-
-    result = run_fleet(sites=args.sites, sessions=args.sessions,
-                       seed=args.seed, shards=args.shards,
-                       interval=args.interval, capacity=args.capacity,
-                       adaptive=not args.fixed_windows)
-    print(result.render())
-    print(result.merged_metrics().to_table(
-        title="Fleet metrics (merged across %d site shard(s))"
-        % len(result.sites)))
-    if args.out:
-        recorder = result.merged_recorder()
-        count = recorder.write(args.out)
-        print("\nwrote %s: %d merged heartbeat(s) at %gs intervals"
-              % (args.out, count, args.interval))
-
-
-def _cmd_overlay(args) -> None:
-    from repro.experiments.overlay_experiment import run_overlay_experiment
-
-    trials = run_overlay_experiment(seed=args.seed)
-    print(format_table(
-        ["Trial", "Improved pairs", "Direct(ms)", "Overlay(ms)"],
-        [[i, "%d/%d" % (t.pairs_improved, t.pairs),
-          "%.1f" % (1e3 * t.mean_direct_latency),
-          "%.1f" % (1e3 * t.mean_overlay_latency)]
-         for i, t in enumerate(trials)],
-        title="O1: overlay routing"))
-
-
-def _cmd_migration(args) -> None:
-    from repro.experiments.migration_experiment import (
-        run_migration_experiment,
-    )
-
-    result = run_migration_experiment(seed=args.seed)
-    print(format_table(
-        ["Metric", "Value"],
-        [["downtime", "%.1f s" % result.downtime],
-         ["completion (migrated)", "%.1f s" % result.completion_time],
-         ["completion (baseline)",
-          "%.1f s" % result.baseline_completion_time],
-         ["mounts preserved", str(result.mounts_preserved)],
-         ["final host", result.final_host]],
-        title="M1: migration"))
-
-
-def _require_target(args) -> str:
-    from repro.obs.runner import SCENARIOS
-
-    if args.target is None:
-        print("error: %s needs an experiment target (one of: %s)"
-              % (args.command, ", ".join(SCENARIOS)), file=sys.stderr)
-        raise SystemExit(2)
-    if args.target not in SCENARIOS:
-        print("error: unknown experiment %r (one of: %s)"
-              % (args.target, ", ".join(SCENARIOS)), file=sys.stderr)
-        raise SystemExit(2)
-    return args.target
+def _print_artifact(name: Optional[str], args) -> None:
+    """Print one scenario's artifact, at its own default ``--samples``."""
+    row = scenario(name)
+    samples = row.samples if args.samples is None else args.samples
+    print(row.artifact(argparse.Namespace(**dict(vars(args),
+                                              samples=samples))))
 
 
 def _cmd_trace(args) -> None:
-    from repro.obs.runner import trace_experiment
+    from repro.obs.chrome import export_chrome_trace
+    from repro.obs.tracer import TraceRecorder
 
-    target = _require_target(args)
-    out = args.out or "%s-trace.json" % target
-    sim, count = trace_experiment(target, out, seed=args.seed)
+    recorder = TraceRecorder()
+    sim = run_scenario(args.target, seed=args.seed, tracer=recorder)
+    out = args.out or "%s-trace.json" % args.target
+    count = export_chrome_trace(recorder, out)
     print("wrote %s: %d trace events, %.2f simulated seconds"
           % (out, count, sim.now))
 
 
 def _cmd_metrics(args) -> None:
-    from repro.obs.runner import run_scenario
-
-    target = _require_target(args)
-    sim = run_scenario(target, seed=args.seed)
+    sim = run_scenario(args.target, seed=args.seed)
     if args.json:
         print(sim.metrics.to_json())
     else:
         print(sim.metrics.to_table(
-            title="Metrics: %s (seed %d)" % (target, args.seed)))
+            title="Metrics: %s (seed %d)" % (args.target, args.seed)))
 
 
 def _cmd_record(args) -> None:
-    from repro.obs.runner import record_experiment
-
-    target = _require_target(args)
-    out = args.out or "%s-record.jsonl" % target
-    sim, _grid, recorder = record_experiment(
-        target, interval=args.interval, seed=args.seed,
-        capacity=args.capacity)
+    out = args.out or "%s-record.jsonl" % args.target
+    sim, _grid, recorder = run_scenario(
+        args.target, seed=args.seed, recorder_interval=args.interval,
+        recorder_capacity=args.capacity)
     count = recorder.write(out)
     print("wrote %s: %d heartbeat(s) at %gs intervals, "
           "%.2f simulated seconds"
@@ -252,15 +121,13 @@ def _cmd_record(args) -> None:
 
 def _cmd_report(args) -> None:
     from repro.obs.report import render_report
-    from repro.obs.runner import record_experiment
 
-    target = _require_target(args)
-    sim, grid, recorder = record_experiment(
-        target, interval=args.interval, seed=args.seed,
-        capacity=args.capacity)
+    sim, grid, recorder = run_scenario(
+        args.target, seed=args.seed, recorder_interval=args.interval,
+        recorder_capacity=args.capacity)
     print(render_report(
         sim, grid=grid, recorder=recorder,
-        title="Run report: %s (seed %d)" % (target, args.seed),
+        title="Run report: %s (seed %d)" % (args.target, args.seed),
         fmt=args.format), end="")
 
 
@@ -268,15 +135,9 @@ def _cmd_profile(args) -> None:
     import cProfile
     import pstats
 
-    from repro.obs.runner import run_scenario
-
-    target = _require_target(args)
     profiler = cProfile.Profile()
-    profiler.enable()
-    sim = run_scenario(target, seed=args.seed)
-    profiler.disable()
-    print("profile: %s, seed %d, %.2f simulated seconds, %d events"
-          % (target, args.seed, sim.now, sim._next_id))
+    profiler.runcall(_print_artifact, args.target, args)
+    print("profile: %s, seed %d" % (args.target, args.seed))
     stats = pstats.Stats(profiler, stream=sys.stdout)
     stats.sort_stats("cumulative").print_stats(args.top)
 
@@ -307,9 +168,6 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_sanitize(args) -> int:
-    from repro.obs.runner import run_scenario
-
-    target = _require_target(args)
     if args.shard_model:
         from repro.analysis.shardsan import ShardAffinitySanitizer
 
@@ -318,11 +176,11 @@ def _cmd_sanitize(args) -> int:
         from repro.analysis.sanitizer import DeterminismSanitizer
 
         sanitizer = DeterminismSanitizer()
-    sim = run_scenario(target, seed=args.seed, tracer=sanitizer)
+    sim = run_scenario(args.target, seed=args.seed, tracer=sanitizer)
     hazards = sanitizer.finish()
     # The sanitizer must be a pure observer: replay the scenario
     # untraced and require byte-identical experiment output.
-    plain = run_scenario(target, seed=args.seed)
+    plain = run_scenario(args.target, seed=args.seed)
     identical = (sim.now == plain.now  # simlint: disable=R6  bytewise
                  and sim.metrics.to_json() == plain.metrics.to_json())
     for hazard in hazards:
@@ -336,7 +194,7 @@ def _cmd_sanitize(args) -> int:
                   % (len(crossings), args.shard_model))
     print("simsan: %s, seed %d: %d hazard(s), %.2f simulated seconds, "
           "output %s%s"
-          % (target, args.seed, len(hazards), sim.now,
+          % (args.target, args.seed, len(hazards), sim.now,
              "identical to untraced run" if identical
              else "DIVERGED from untraced run", suffix))
     # Crossings are informational (shardable with lookahead); only
@@ -344,14 +202,8 @@ def _cmd_sanitize(args) -> int:
     return 1 if hazards or not identical else 0
 
 
-_COMMANDS = {
-    "table1": _cmd_table1,
-    "table2": _cmd_table2,
-    "figure1": _cmd_figure1,
-    "fleet": _cmd_fleet,
-    "ablations": _cmd_ablations,
-    "overlay": _cmd_overlay,
-    "migration": _cmd_migration,
+#: The commands that are not a scenario of their own.
+_TOOLS = {
     "analyze": _cmd_analyze,
     "sanitize": _cmd_sanitize,
     "trace": _cmd_trace,
@@ -369,11 +221,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Regenerate the experiments of 'A Case For Grid "
                     "Computing On Virtual Machines' (ICDCS 2003).")
     parser.add_argument("command",
-                        choices=sorted(_COMMANDS) + ["all"],
+                        choices=sorted([*SCENARIOS, *_TOOLS]) + ["all"],
                         help="which artifact to regenerate")
     parser.add_argument("target", nargs="?", default=None,
-                        help="trace/metrics: which experiment scenario "
-                             "(figure1, table1 or table2)")
+                        help="profile: which scenario; trace, metrics, "
+                             "record, report and sanitize: which "
+                             "life-cycle world (%s)" % ", ".join(LIFECYCLE))
     parser.add_argument("--seed", type=int, default=0,
                         help="root random seed (default 0)")
     parser.add_argument("--workers", type=int, default=1,
@@ -395,8 +248,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--sessions", type=int, default=3,
                         help="fleet: sessions per site (default 3)")
     parser.add_argument("--out", default=None,
-                        help="trace: output file "
-                             "(default <target>-trace.json); "
+                        help="trace/record: output file "
+                             "(default <target>-trace.json or "
+                             "<target>-record.jsonl); "
                              "fleet: merged flight-record JSONL path")
     parser.add_argument("--scale", nargs="?", const="1", default=None,
                         metavar="FACTOR",
@@ -410,7 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="analyze: print one rule's documentation "
                              "(e.g. --explain R22) and exit")
     parser.add_argument("--samples", type=int, default=None,
-                        help="table2/figure1: sample count")
+                        help="table2/figure1: sample count (default: "
+                             "the scenario's own)")
     parser.add_argument("--path", action="append", default=None,
                         help="analyze: file/directory to lint (repeatable; "
                              "default: the installed repro package)")
@@ -459,18 +314,17 @@ def main(argv: Optional[List[str]] = None) -> int:
               "to run independent replications in parallel"
               % args.command, file=sys.stderr)
         return 2
-    if args.samples is None:
-        args.samples = 150 if args.command == "figure1" else 10
     try:
-        if args.command == "all":
-            for name in ("table1", "figure1", "table2", "ablations",
-                         "overlay", "migration"):
-                if name == "figure1" and args.samples == 10:
-                    args.samples = 150
-                _COMMANDS[name](args)
-                print()
+        if args.command in _TOOLS:
+            return _TOOLS[args.command](args) or 0
+        if args.command != "all":
+            _print_artifact(args.command, args)
             return 0
-        return _COMMANDS[args.command](args) or 0
+        for name, row in SCENARIOS.items():
+            if row.in_all:
+                _print_artifact(name, args)
+                print()
+        return 0
     except SimulationError as exc:
         # The model rejected an input value: one line, no traceback.
         print("error: %s" % exc, file=sys.stderr)

@@ -286,39 +286,6 @@ class VirtualGrid:
             return ""
         return machine.site if model == "site" else host_name
 
-    def partition_groups(self, model: str = "site"):
-        """The distinct partition labels of :meth:`partitions`, sorted.
-
-        These are the shard plan's groups: one prospective shard per
-        site (or per host under the finest model).
-        """
-        return sorted(set(self.partitions(model).values()))
-
-    def lookaheads(self, model: str = "site"):
-        """Pairwise conservative lookaheads between partition groups.
-
-        Under ``model="site"``, ``(a, b) -> Network.min_latency(a, b)``
-        over the site labels; under ``model="host"`` the matrix comes
-        from :meth:`Network.partition_lookaheads` over the host
-        partition, so co-located machines get the (much tighter) LAN
-        latency as their safety margin — the split that unlocks shard
-        counts above the site count.  Either way the value is the
-        minimum simulated delay any event pays to cross between the
-        groups, which is exactly what the sharded engine's conservative
-        windows need.  A zero or missing latency (co-located groups)
-        simply yields an entry the
-        :class:`~repro.simulation.sharded.ShardPlan` will reject —
-        such groups cannot be sharded apart.
-        """
-        if model == "site":
-            groups = self.partition_groups(model)
-            return {(a, b): self.network.min_latency(a, b)
-                    for a in groups for b in groups if a != b}
-        if model == "host":
-            return self.network.partition_lookaheads(self.partitions("host"))
-        raise SimulationError("unknown shard model %r "
-                              "(expected 'site' or 'host')" % model)
-
     def scoped_metrics(self, host_name: str):
         """A metrics view keyed to the host's partition.
 

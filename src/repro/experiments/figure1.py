@@ -149,6 +149,8 @@ def run_figure1(samples: int = 100, test_seconds: float = 3.0,
     with ``workers=N`` the twelve independent scenario worlds fan out
     across worker processes and the results stay byte-identical).
     """
+    if samples < 1:
+        raise SimulationError("samples must be >= 1, got %r" % (samples,))
     tasks = [(load_level, test_on, load_on, samples, test_seconds,
               seed * 100 + 17)
              for load_level in LOAD_LEVELS

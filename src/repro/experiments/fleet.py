@@ -37,8 +37,8 @@ from typing import Any, Dict, List, Optional
 from repro.core.grid import (_BACKBONE, _LAN_BANDWIDTH, _LAN_LATENCY,
                              _WAN_BANDWIDTH, _WAN_LATENCY, VirtualGrid)
 from repro.core.reporting import format_table
+from repro.experiments.testbed import MB, REDUCED_GUEST
 from repro.gridnet.topology import Network
-from repro.guestos.profile import GuestOsProfile
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.recorder import FlightRecorder
 from repro.simulation.kernel import Simulation
@@ -48,20 +48,6 @@ from repro.simulation.sharded import (ShardPlan, ShardWorld,
 
 __all__ = ["FleetResult", "build_fleet_world", "fleet_lookaheads",
            "fleet_sites", "run_fleet"]
-
-_MB = 1024 * 1024
-
-#: The reduced boot profile traced scenarios use (same shape, small
-#: constants) so a multi-site fleet stays quick at any scale.
-_FLEET_GUEST = GuestOsProfile(
-    kernel_read_bytes=2 * _MB,
-    scattered_reads=40,
-    scattered_read_bytes=32 * 1024,
-    boot_cpu_user=0.5,
-    boot_cpu_sys=0.5,
-    boot_jitter=0.0,
-    boot_footprint_bytes=64 * _MB,
-)
 
 #: Announce phase shape: dispatch k goes out at ``_ANNOUNCE_AT + k *
 #: _ANNOUNCE_EVERY``; session k starts at ``_ARRIVAL_AT + k *
@@ -146,7 +132,7 @@ def build_fleet_world(group: str, lookaheads: Dict[str, float],
         grid.add_compute_host(host, site=group,
                               vm_futures=max(8, sessions))
     grid.add_image_server(group + "-img", site=group)
-    grid.publish_image(group + "-img", "rh72", 96 * _MB, warm_state_mb=32)
+    grid.publish_image(group + "-img", "rh72", 96 * MB, warm_state_mb=32)
     grid.add_data_server(group + "-data", site=group)
     operator = "op-" + group
     grid.add_user(operator, home_site=group)
@@ -172,7 +158,7 @@ def build_fleet_world(group: str, lookaheads: Dict[str, float],
         config = SessionConfig(user=operator, image="rh72",
                                vm_name="%s-vm%d" % (group, k),
                                image_access="pvfs", start_mode="restore",
-                               guest_profile=_FLEET_GUEST)
+                               guest_profile=REDUCED_GUEST)
         session = grid.new_session(config)
         start = sim.now
         yield from session.establish()

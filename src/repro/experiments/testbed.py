@@ -20,6 +20,7 @@ __all__ = [
     "MB",
     "IMAGE_BYTES",
     "GUEST_MEMORY_MB",
+    "REDUCED_GUEST",
     "compute_node_spec",
     "guest_profile",
     "vm_config",
@@ -33,6 +34,20 @@ GB = 1024 ** 3
 IMAGE_BYTES = 2 * GB
 #: The 128 MB guest of both experiments.
 GUEST_MEMORY_MB = 128
+
+#: A reduced boot profile with the full profile's shape and small
+#: constants: the single-session life-cycle worlds of ``repro trace``
+#: and friends finish in well under a second, and a multi-site fleet
+#: stays quick at any scale.
+REDUCED_GUEST = GuestOsProfile(
+    kernel_read_bytes=2 * MB,
+    scattered_reads=40,
+    scattered_read_bytes=32 * 1024,
+    boot_cpu_user=0.5,
+    boot_cpu_sys=0.5,
+    boot_jitter=0.0,
+    boot_footprint_bytes=64 * MB,
+)
 
 
 def compute_node_spec(memory_mb: int = 1024) -> MachineSpec:

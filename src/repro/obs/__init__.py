@@ -20,11 +20,11 @@ so this package makes the simulated stack observable end to end:
   the session and GRAM layers;
 * :mod:`repro.obs.chrome` — Chrome-trace-event JSON export, loadable
   in Perfetto / ``chrome://tracing``;
-* :mod:`repro.obs.runner` / :mod:`repro.obs.report` — traced
-  single-run scenarios and the run-report renderer behind the
-  ``repro trace`` / ``metrics`` / ``record`` / ``report`` CLI commands
-  (imported lazily by the CLI; not re-exported here to keep this
-  package importable from the kernel).
+* :mod:`repro.obs.report` — the run-report renderer behind ``repro
+  report`` (imported lazily by the CLI; not re-exported here to keep
+  this package importable from the kernel).  The single-session worlds
+  that ``repro trace`` / ``metrics`` / ``record`` / ``report`` replay
+  are rows of :mod:`repro.scenarios`.
 
 See ``docs/observability.md`` for the protocol, naming conventions and
 a Perfetto walkthrough.

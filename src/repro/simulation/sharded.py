@@ -481,17 +481,6 @@ class ShardPlan:
         return cls([label])
 
     @classmethod
-    def for_grid(cls, grid, model: str = "site") -> "ShardPlan":
-        """The plan a :class:`~repro.core.grid.VirtualGrid` induces.
-
-        ``model="site"`` gives one group per site with WAN-latency
-        lookaheads; ``model="host"`` one group per physical machine
-        with the (tighter) LAN-latency matrix — shard counts above the
-        site count for single-site-heavy worlds.
-        """
-        return cls(grid.partition_groups(model), grid.lookaheads(model))
-
-    @classmethod
     def uniform(cls, groups: Sequence[str], lookahead: float
                 ) -> "ShardPlan":
         """All-pairs channels with one shared lookahead."""

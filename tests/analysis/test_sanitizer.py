@@ -292,7 +292,7 @@ class TestPureObserver:
 
     @pytest.mark.parametrize("scenario", ["figure1", "table1", "table2"])
     def test_obs_scenarios_are_hazard_free_and_identical(self, scenario):
-        from repro.obs.runner import run_scenario
+        from repro.scenarios import run_scenario
 
         sanitizer = DeterminismSanitizer()
         sim = run_scenario(scenario, seed=42, tracer=sanitizer)

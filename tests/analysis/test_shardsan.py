@@ -8,7 +8,7 @@ from repro.analysis.shardsan import (
     ShardAffinitySanitizer,
 )
 from repro.cli import main as repro_main
-from repro.obs.runner import build_scenario, run_scenario
+from repro.scenarios import SCENARIOS, run_scenario
 from repro.simulation.kernel import Simulation, SimulationError
 from repro.simulation.monitor import StatAccumulator
 
@@ -53,13 +53,13 @@ class TestConstruction:
 
     def test_unknown_partition_model_rejected_by_grid(self):
         sim = Simulation(seed=0)
-        grid, _config, _app = build_scenario("table1", sim, seed=0)
+        grid, _config, _app = SCENARIOS["table1"].world.build(sim, seed=0)
         with pytest.raises(SimulationError):
             grid.partitions("core")
 
     def test_grid_partition_maps(self):
         sim = Simulation(seed=0)
-        grid, _config, _app = build_scenario("table1", sim, seed=0)
+        grid, _config, _app = SCENARIOS["table1"].world.build(sim, seed=0)
         assert grid.partitions("site") == {
             "compute1": "uf", "images1": "nw", "data1": "nw"}
         assert grid.partitions("host") == {

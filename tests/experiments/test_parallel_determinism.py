@@ -16,7 +16,6 @@ from repro.experiments.runner import (
 )
 from repro.experiments.table1 import run_table1
 from repro.experiments.table2 import run_table2
-from repro.obs.runner import trace_experiment
 from repro.simulation.monitor import StatAccumulator
 
 #: More workers than the scheduler has to give on a small CI box —
@@ -75,7 +74,8 @@ def test_trace_unperturbed_by_pool_dispatch(tmp_path):
     for label, workers in (("seq", 1), ("par", WORKERS)):
         run_figure1(samples=1, test_seconds=1.0, seed=42, workers=workers)
         path = tmp_path / ("trace-%s.json" % label)
-        trace_experiment("figure1", str(path), seed=42)
+        assert cli.main(["trace", "figure1", "--seed", "42",
+                         "--out", str(path)]) == 0
         out.append(path.read_bytes())
     assert out[0] == out[1]
 

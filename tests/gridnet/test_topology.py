@@ -194,30 +194,7 @@ def test_site_lookaheads_returns_full_symmetric_matrix():
     assert net.min_latency("uf", "nw") == pytest.approx(0.032)
 
 
-# -- partition-level lookaheads (host and custom shard models) ----------------
-
-
-def test_host_lookaheads_cover_every_host_pair():
-    net = build_three_sites(Simulation())
-    matrix = net.host_lookaheads()
-    hosts = sorted(net.hosts)
-    assert set(matrix) == {(a, b) for a in hosts for b in hosts if a != b}
-    for (a, b), value in matrix.items():
-        assert value == net.latency(a, b)  # singleton groups: exact
-
-
-def test_host_lookaheads_tighter_than_site_for_lan_pairs():
-    """Same-site host pairs get LAN latencies — boundaries the site
-    model cannot even express (intra-site is never a site boundary)."""
-    net = build_three_sites(Simulation())
-    matrix = net.host_lookaheads()
-    assert matrix[("uf-h0", "uf-h1")] == pytest.approx(0.003)
-    # Cross-site entries can never undercut the site matrix.
-    for (a, b), value in matrix.items():
-        site_a = net.site_of(a)
-        site_b = net.site_of(b)
-        if site_a != site_b:
-            assert value >= net.min_latency(site_a, site_b)
+# -- partition-level lookaheads (custom shard models) -------------------------
 
 
 def test_partition_lookaheads_custom_grouping():

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.middleware import TapeArchive
+from repro.scenarios import SCENARIOS
 from repro.simulation import SimulationError
 from repro.vmm import VmState
 from repro.workloads import Application, IoPhase, synthetic_compute
@@ -97,14 +98,13 @@ def test_archive_includes_diff_file():
 # CLI
 # ---------------------------------------------------------------------------
 
-def test_cli_parser_accepts_all_commands():
+@pytest.mark.parametrize("command", [*SCENARIOS, "all"])
+def test_cli_parser_accepts_all_commands(command):
     from repro.cli import build_parser
 
     parser = build_parser()
-    for command in ("table1", "table2", "figure1", "ablations", "overlay",
-                    "migration", "all"):
-        args = parser.parse_args([command])
-        assert args.command == command
+    args = parser.parse_args([command])
+    assert args.command == command
     with pytest.raises(SystemExit):
         parser.parse_args(["bogus"])
 

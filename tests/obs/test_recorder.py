@@ -7,7 +7,7 @@ import pytest
 from repro.cli import main
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.recorder import FlightRecorder
-from repro.obs.runner import record_experiment, run_scenario
+from repro.scenarios import run_scenario
 from repro.simulation.kernel import Simulation, SimulationError
 
 
@@ -55,7 +55,8 @@ def test_ring_is_bounded():
 def test_recorder_is_a_pure_observer():
     for scenario in ("figure1", "table1", "table2"):
         plain = run_scenario(scenario, seed=42)
-        recorded, _, recorder = record_experiment(scenario, seed=42)
+        recorded, _, recorder = run_scenario(scenario, seed=42,
+                                             recorder_interval=1.0)
         assert recorder.entries
         assert recorded.now == plain.now
         assert recorded.metrics.to_json() == plain.metrics.to_json()
@@ -64,7 +65,8 @@ def test_recorder_is_a_pure_observer():
 def test_flight_record_byte_identical_per_seed(tmp_path):
     paths = []
     for name in ("one.jsonl", "two.jsonl"):
-        _, _, recorder = record_experiment("table2", seed=42)
+        _, _, recorder = run_scenario("table2", seed=42,
+                                      recorder_interval=1.0)
         path = tmp_path / name
         recorder.write(str(path))
         paths.append(path)
@@ -234,6 +236,8 @@ def test_report_command_markdown(capsys):
     assert "---" in out
 
 
-def test_record_requires_target():
-    with pytest.raises(SystemExit):
-        main(["record"])
+def test_record_requires_target(capsys):
+    assert main(["record"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: no life-cycle scenario given")
+    assert len(err.splitlines()) == 1

@@ -1,4 +1,4 @@
-"""The `repro trace` / `repro metrics` CLI commands."""
+"""The `repro trace` / `metrics` / `profile` CLI commands."""
 
 import json
 
@@ -40,24 +40,36 @@ def test_metrics_command_json(capsys):
     assert "p95" in payload["session.step6.duration[uf]"]
 
 
+def _one_error_line(capsys):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1, captured.err
+    assert lines[0].startswith("error: ")
+    return lines[0]
+
+
 def test_trace_requires_target(capsys):
-    with pytest.raises(SystemExit):
-        main(["trace"])
+    assert main(["trace"]) == 2
+    assert "table1, figure1, table2" in _one_error_line(capsys)
 
 
 def test_trace_rejects_unknown_target(capsys):
-    with pytest.raises(SystemExit):
-        main(["trace", "table9"])
+    assert main(["trace", "table9"]) == 2
+    assert "'table9'" in _one_error_line(capsys)
 
 
 def test_profile_command_prints_hot_functions(capsys):
-    assert main(["profile", "table2", "--seed", "42", "--top", "5"]) == 0
+    assert main(["profile", "table2", "--samples", "1", "--seed", "42",
+                 "--top", "30"]) == 0
     out = capsys.readouterr().out
+    # The real artifact ran, then its profile.
+    assert "Table 2: VM startup times via globusrun" in out
     assert "profile: table2, seed 42" in out
     assert "cumulative" in out
-    assert "run_scenario" in out
+    assert "startup_sample" in out
 
 
-def test_profile_requires_target():
-    with pytest.raises(SystemExit):
-        main(["profile"])
+def test_profile_requires_target(capsys):
+    assert main(["profile"]) == 2
+    assert "migration" in _one_error_line(capsys)

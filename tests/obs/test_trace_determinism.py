@@ -10,8 +10,8 @@ import json
 
 import pytest
 
-from repro.obs import TraceRecorder, chrome_trace_json
-from repro.obs.runner import SCENARIOS, run_scenario, trace_experiment
+from repro.obs import TraceRecorder, chrome_trace_json, export_chrome_trace
+from repro.scenarios import LIFECYCLE, run_scenario
 from repro.simulation import SimulationError
 
 
@@ -56,7 +56,7 @@ def test_different_seeds_may_differ_but_both_complete():
     assert rec_a.open_spans() == [] and rec_b.open_spans() == []
 
 
-@pytest.mark.parametrize("name", SCENARIOS)
+@pytest.mark.parametrize("name", LIFECYCLE)
 def test_every_scenario_runs_and_records_metrics(name):
     sim = run_scenario(name, seed=0)
     assert sim.metrics.names("session.") != []
@@ -67,7 +67,9 @@ def test_every_scenario_runs_and_records_metrics(name):
 
 def test_trace_experiment_writes_loadable_file(tmp_path):
     out = tmp_path / "trace.json"
-    sim, count = trace_experiment("table2", str(out), seed=42)
+    recorder = TraceRecorder()
+    sim = run_scenario("table2", seed=42, tracer=recorder)
+    count = export_chrome_trace(recorder, str(out))
     doc = json.loads(out.read_text())
     assert len(doc["traceEvents"]) == count > 0
     assert sim.now > 0
