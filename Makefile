@@ -17,7 +17,7 @@ export PYTHONPATH := src
 .PHONY: check analysis-gate lint shardcheck scalecheck baseline test \
 	parallel-determinism shard-determinism adaptive-guard sanitize \
 	sanitize-shard trace-smoke record-smoke golden-guard bench \
-	bench-experiments experiments
+	bench-experiments bench-pairs experiments
 
 check: analysis-gate test parallel-determinism \
 	shard-determinism adaptive-guard sanitize sanitize-shard \
@@ -185,6 +185,14 @@ bench: bench-experiments
 # alone takes minutes — this is a deliberate full-scale measurement.
 bench-experiments:
 	$(PYTHON) -m pytest -x -q benchmarks/test_experiment_throughput.py
+
+# Alternating perfbench pairs, the working tree against the commit it
+# sits on: `make bench-pairs W=vm_startup N=6` prints wall_s, setup_s,
+# peak_rss_mb and correctness per pair, the medians and the win count.
+W ?= vm_startup
+N ?= 6
+bench-pairs:
+	$(PYTHON) benchmarks/pairs.py --workload $(W) --pairs $(N)
 
 experiments:
 	$(PYTHON) -m repro all

@@ -63,9 +63,9 @@ conservative windows (``--fixed-windows`` for the A/B schedule).  Its
 artifacts are byte-identical for any shard count.  Any other command
 rejects ``--shards`` other than 1 and points to ``--workers``.
 
-Bad input (a value the model rejects, such as ``--samples 0`` or a
-fleet that overfills a host) exits 2 with one ``error:`` line on
-stderr.
+Bad input (a value the model rejects, such as ``--samples 0``,
+``--workers 0`` or a fleet that overfills a host) exits 2 with one
+``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -313,6 +313,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("error: --shards is for fleet only, not %s; use --workers N "
               "to run independent replications in parallel"
               % args.command, file=sys.stderr)
+        return 2
+    if args.workers < 1:
+        print("error: workers must be >= 1, got %d" % args.workers,
+              file=sys.stderr)
         return 2
     try:
         if args.command in _TOOLS:

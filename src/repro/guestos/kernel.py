@@ -157,14 +157,17 @@ class OperatingSystem:
                                  pagefaults_per_sec=500.0)
         per_group_user = profile.boot_cpu_user * jitter / groups
         per_group_sys = profile.boot_cpu_sys * jitter / groups
+        per_group_reads = range(max(1, reads // groups))
+        offsets = max(1, footprint - read_size)
+        randrange = self.rng.randrange
+        read = fs.read
+        run_compute = self.iface.run_compute
         for _group in range(groups):
-            for _i in range(max(1, reads // groups)):
-                offset = self.rng.randrange(
-                    0, max(1, footprint - read_size))
-                yield from fs.read(name, offset, read_size,
-                                   sequential=False)
-            yield from self.iface.run_compute(
-                "init", per_group_user, per_group_sys, rates)
+            for _i in per_group_reads:
+                yield from read(name, randrange(0, offsets), read_size,
+                                sequential=False)
+            yield from run_compute("init", per_group_user, per_group_sys,
+                                   rates)
         self.booted = True
         self.boot_duration = self.sim.now - start
         return self.boot_duration

@@ -15,7 +15,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable, Deque, Optional
 
-from repro.simulation.kernel import Event, Simulation, SimulationError
+from repro.simulation.kernel import (_PENDING, Event, Simulation,
+                                     SimulationError)
 
 __all__ = ["Request", "Resource", "Store", "Container"]
 
@@ -26,12 +27,19 @@ class Request(Event):
     __slots__ = ("resource", "owner")
 
     def __init__(self, resource: "Resource"):
-        super().__init__(resource.sim)
+        # Every disk access makes one, so the slots are set here rather
+        # than through Event.__init__.
+        sim = resource.sim
+        self.sim = sim
+        self.callbacks = []
+        self._value = _PENDING
+        self._ok = None
+        self._defused = False
         self.resource = resource
         #: The process that issued the request (None outside a process).
         #: Captured at creation — a queued request may be *granted* while
         #: some other process is active (the releaser's wake-up loop).
-        self.owner = resource.sim.active_process
+        self.owner = sim._active_process
 
 
 class _StorePut(Event):

@@ -38,9 +38,8 @@ def block_span(offset: int, nbytes: int, block_size: int) -> range:
         raise StorageError("offset and size must be non-negative")
     if nbytes == 0:
         return range(0)
-    first = offset // block_size
-    last = (offset + nbytes - 1) // block_size
-    return range(first, last + 1)
+    return range(offset // block_size,
+                 (offset + nbytes - 1) // block_size + 1)
 
 
 @lru_cache(maxsize=256)

@@ -63,6 +63,9 @@ class BlockCache:
         #: file id -> (extent starts, extents), both sorted by block.
         self._index: Dict[Hashable, Tuple[List[int], List[_Extent]]] = {}
         self._size = 0
+        #: Bumped by every insert: :meth:`fill` checks it to tell
+        #: whether a fetched run can still be missing in full.
+        self._inserts = 0
         self.hits = 0
         self.misses = 0
 
@@ -159,41 +162,54 @@ class BlockCache:
         if last is not None:
             self._insert_span(file_id, lo, last + 1)
 
-    def scan(self, file_id: Hashable, span: range) -> Iterator[range]:
+    def fill(self, file_id: Hashable, span: range) -> Iterator[range]:
         """Look up every block of ``span`` in order, exactly as one
-        :meth:`lookup` per block would, yielding each missing run that
-        the caller must fetch (and insert) before the walk goes on.
+        :meth:`lookup` per block would, yielding each missing run for the
+        caller to fetch; resuming the walk inserts that run, as
+        :meth:`insert_run` would, before the walk goes on.
 
         Resident runs are counted and moved to the MRU end whole.  A
         miss run ends at the next resident block, and -- as in the
         per-block loop -- that block is looked up (moved to MRU) *before*
         the run is yielded.  No other process runs between two yields,
         so each run is maximal against the state current when the walk
-        reaches it; after a yield the walk resumes against whatever the
-        fetch (or any other process) left behind.
+        reaches it.  Only an insert makes a block resident, so when no
+        insert reached this cache during the fetch the run is still
+        wholly missing and goes straight to the MRU end; otherwise it is
+        inserted against whatever the other inserts left behind.  A
+        caller that abandons the walk (its fetch raised) inserts nothing.
         """
         pos, stop = span.start, span.stop
         while pos < stop:
             entry = self._index.get(file_id)
             if entry is None:
-                self.misses += stop - pos
-                yield range(pos, stop)
-                return
-            los, extents = entry
-            end, resident = self._run_at(los, extents, pos, stop)
-            if resident:
-                self.hits += end - pos
-                self._touch(file_id, los, extents, pos, end)
-                pos = end
-                continue
+                end = after = stop
+            else:
+                los, extents = entry
+                end, resident = self._run_at(los, extents, pos, stop)
+                if resident:
+                    self.hits += end - pos
+                    self._touch(file_id, los, extents, pos, end)
+                    pos = end
+                    continue
+                after = end
+                if end < stop:
+                    self.hits += 1
+                    self._touch(file_id, los, extents, end, end + 1)
+                    after += 1
             self.misses += end - pos
-            missing = range(pos, end)
-            if end < stop:
-                self.hits += 1
-                self._touch(file_id, los, extents, end, end + 1)
-                end += 1
-            pos = end
-            yield missing
+            inserts = self._inserts
+            yield range(pos, end)
+            if self.capacity_blocks:
+                if inserts == self._inserts:
+                    self._inserts += 1
+                    entry = self._index.get(file_id)
+                    if entry is None:
+                        entry = self._index[file_id] = ([], [])
+                    self._add(file_id, entry[0], entry[1], pos, end)
+                else:
+                    self._insert_span(file_id, pos, end)
+            pos = after
 
     def missing(self, file_id: Hashable, span: range) -> List[range]:
         """The maximal runs of ``span`` not resident, without touching
@@ -300,7 +316,7 @@ class BlockCache:
 
     def _insert_span(self, file_id: Hashable, lo: int, hi: int) -> None:
         """Insert ``[lo, hi)`` as one :meth:`insert` per block would."""
-        capacity = self.capacity_blocks
+        self._inserts += 1
         pos = lo
         while pos < hi:
             entry = self._index.get(file_id)
@@ -311,16 +327,22 @@ class BlockCache:
             if resident:
                 self._touch(file_id, los, extents, pos, end)
             else:
-                # Appending the run and then evicting the excess from the
-                # LRU end evicts exactly what evict-one-append-one does;
-                # a resident block further on that gets evicted is seen
-                # as missing when the walk reaches it.
-                self._append(file_id, los, extents,
-                             bisect_left(los, pos), pos, end)
-                self._size += end - pos
-                if self._size > capacity:
-                    self._evict(self._size - capacity)
+                self._add(file_id, los, extents, pos, end)
             pos = end
+
+    def _add(self, file_id: Hashable, los: List[int],
+             extents: List[_Extent], lo: int, hi: int) -> None:
+        """Insert the wholly missing blocks ``[lo, hi)``.
+
+        Appending the run and then evicting the excess from the LRU end
+        evicts exactly what evict-one-append-one does; a resident block
+        further on that gets evicted is seen as missing when the insert
+        walk reaches it.
+        """
+        self._append(file_id, los, extents, bisect_left(los, lo), lo, hi)
+        self._size += hi - lo
+        if self._size > self.capacity_blocks:
+            self._evict(self._size - self.capacity_blocks)
 
     def _evict(self, count: int) -> None:
         """Drop ``count`` blocks from the LRU end."""

@@ -60,9 +60,6 @@ class LocalFileSystem(FileSystem):
         del self._files[name]
         self.cache.invalidate_file((self.name, name))
 
-    def _file_id(self, name: str):
-        return (self.name, name)
-
     # -- data path --------------------------------------------------------------
 
     def read(self, name: str, offset: int, nbytes: int,
@@ -73,37 +70,30 @@ class LocalFileSystem(FileSystem):
             raise StorageError("read past end of %s (%d+%d > %d)"
                                % (name, offset, nbytes, size))
         span = block_span(offset, nbytes, self.block_size)
-        file_id = self._file_id(name)
         missed = 0
-        for run in self.cache.scan(file_id, span):
+        for run in self.cache.fill((self.name, name), span):
+            # One disk access per run of consecutive missing blocks: one
+            # positioning cost, then it streams, regardless of the
+            # caller's access pattern -- runs are contiguous by
+            # construction.  Resuming the walk files the run.
             missed += len(run)
-            yield from self._read_run(file_id, run)
+            yield from self.disk.read(len(run) * self.block_size,
+                                      sequential=False)
         hits = len(span) - missed
         if hits:
             yield self.sim.timeout(repeated_sum(_HIT_COST, hits))
-
-    def _read_run(self, file_id, blocks: range):
-        """One disk access covering a run of consecutive missing blocks.
-
-        The run pays one positioning cost and then streams, regardless of
-        the caller's access pattern — runs are contiguous by construction.
-        """
-        yield from self.disk.read(len(blocks) * self.block_size,
-                                  sequential=False)
-        self.cache.insert_run(file_id, blocks)
 
     def write(self, name: str, offset: int, nbytes: int,
               sequential: bool = True):
         """Write a byte range (write-through), extending the file."""
         if name not in self._files:
             self._files[name] = 0
-        file_id = self._file_id(name)
         blocks = block_span(offset, nbytes, self.block_size)
         if blocks:
             # One positioning cost, then the whole range streams.
             yield from self.disk.write(len(blocks) * self.block_size,
                                        sequential=False)
-            self.cache.insert_run(file_id, blocks)
+            self.cache.insert_run((self.name, name), blocks)
         self._files[name] = max(self._files[name], offset + nbytes)
 
     def copy(self, src: str, dst: str, chunk_bytes: int = 4 * 1024 * 1024):
@@ -127,7 +117,7 @@ class LocalFileSystem(FileSystem):
         if size == 0:
             return 1.0
         blocks = block_span(0, size, self.block_size)
-        missing = self.cache.missing(self._file_id(name), blocks)
+        missing = self.cache.missing((self.name, name), blocks)
         return (len(blocks) - sum(map(len, missing))) / len(blocks)
 
     def __repr__(self) -> str:

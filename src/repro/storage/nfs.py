@@ -127,11 +127,12 @@ class NfsMount(FileSystem):
             raise StorageError("read past end of %s" % name)
         file_id = (self.name, name)
         span = block_span(offset, nbytes, self.block_size)
-        for run in self.cache.scan(file_id, span):
-            yield from self._fetch_run(name, file_id, run)
+        for run in self.cache.fill(file_id, span):
+            yield from self._fetch_run(name, run)
 
-    def _fetch_run(self, name: str, file_id, blocks: range):
-        """RPC-fetch a run of consecutive chunks with read-ahead."""
+    def _fetch_run(self, name: str, blocks: range):
+        """RPC-fetch a run of consecutive chunks with read-ahead (the
+        cache walk that asked for the run files it)."""
         server = self.server
         nbytes = len(blocks) * self.block_size
         round_trips = math.ceil(len(blocks) / self.client.window)
@@ -155,7 +156,6 @@ class NfsMount(FileSystem):
         server.bytes_served += nbytes
         self._m_rpcs.inc(len(blocks))
         self._m_bytes.inc(nbytes)
-        self.cache.insert_run(file_id, blocks)
 
     def write(self, name: str, offset: int, nbytes: int,
               sequential: bool = True):

@@ -87,9 +87,9 @@ class PvfsProxy(FileSystem):
         file_id = (self.name, name)
         blocks = block_span(offset, nbytes, self.block_size)
         missed = 0
-        for run in self.cache.scan(file_id, blocks):
+        for run in self.cache.fill(file_id, blocks):
             missed += len(run)
-            yield from self._fill(name, file_id, run)
+            yield from self._fetch(name, run)
         hits = len(blocks) - missed
         self._m_hits.inc(hits)
         self._m_misses.inc(missed)
@@ -99,16 +99,16 @@ class PvfsProxy(FileSystem):
         if sequential and self.prefetch_blocks and blocks:
             self._start_prefetch(name, file_id, blocks[-1] + 1)
 
-    def _fill(self, name: str, file_id, blocks: Sequence[int]):
+    def _fetch(self, name: str, blocks: Sequence[int]):
         """Fetch missing blocks from the backing file system: one read
-        from the first of them, as long as their count."""
+        from the first of them, as long as their count.  The caller
+        files them in the proxy cache."""
         span_offset = blocks[0] * self.block_size
         span_bytes = min(len(blocks) * self.block_size,
                          self.backing.size(name) - span_offset)
         if span_bytes > 0:
             yield from self.backing.read(name, span_offset, span_bytes,
                                          sequential=len(blocks) > 1)
-        self.cache.insert_run(file_id, blocks)
 
     def _start_prefetch(self, name: str, file_id, first_block: int) -> None:
         limit = (self.backing.size(name) + self.block_size - 1) \
@@ -126,7 +126,8 @@ class PvfsProxy(FileSystem):
 
         def fetcher(sim):
             try:
-                yield from self._fill(name, file_id, wanted)
+                yield from self._fetch(name, wanted)
+                self.cache.insert_run(file_id, wanted)
             finally:
                 for block in wanted:
                     self._inflight_prefetch.discard((name, block))

@@ -138,18 +138,18 @@ class VirtualDisk:
     def read_at(self, offset: int, nbytes: int, sequential: bool = False):
         """Process generator: read an explicit image byte range."""
         blocks = block_span(offset, nbytes, self.block_size)
-        base_run: list = []
+        # Unmodified blocks go to the base image as ``range`` runs.
+        start = blocks.start
         for block in blocks:
             if block in self._written:
-                if base_run:
-                    yield from self._read_base(base_run, sequential)
-                    base_run = []
+                if start < block:
+                    yield from self._read_base(range(start, block),
+                                               sequential)
                 # Modified block: served from the diff (or private copy).
                 yield from self._read_diff_block(block)
-            else:
-                base_run.append(block)
-        if base_run:
-            yield from self._read_base(base_run, sequential)
+                start = block + 1
+        if start < blocks.stop:
+            yield from self._read_base(range(start, blocks.stop), sequential)
 
     def _read_base(self, blocks, sequential: bool):
         offset = blocks[0] * self.block_size

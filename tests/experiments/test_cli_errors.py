@@ -8,6 +8,11 @@ from repro.cli import main
 @pytest.mark.parametrize("argv, message", [
     (["table2", "--samples", "0"], "samples must be >= 1"),
     (["fleet", "--shards", "0"], "shards must be >= 1"),
+    (["table2", "--samples", "1", "--workers", "0"],
+     "workers must be >= 1, got 0"),
+    (["table2", "--samples", "1", "--workers", "-3"],
+     "workers must be >= 1, got -3"),
+    (["fleet", "--workers", "0"], "workers must be >= 1"),
     (["fleet", "--seed", "42", "--sessions", "10"],
      "exceeds the 768 MB guest budget"),
     (["table2", "--samples", "2", "--shards", "4"], "--workers"),
@@ -22,7 +27,8 @@ from repro.cli import main
     (["report", "ablations"], "one of: table1, figure1, table2"),
     (["sanitize", "overlay"], "one of: table1, figure1, table2"),
     (["profile", "table9"], "one of: table1, figure1, table2, fleet"),
-], ids=["table2-samples0", "fleet-shards0", "fleet-overfull",
+], ids=["table2-samples0", "fleet-shards0", "table2-workers0",
+        "table2-workers-negative", "fleet-workers0", "fleet-overfull",
         "table2-shards", "figure1-shards", "record-shards",
         "figure1-samples0", "figure1-samples-negative", "table1-scale-abc",
         "trace-fleet", "metrics-fleet", "record-fleet", "report-ablations",

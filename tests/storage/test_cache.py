@@ -151,18 +151,21 @@ class ReferenceLru:
         for block in run:
             self.insert(file_id, block)
 
-    def scan(self, file_id, span):
+    def fill(self, file_id, span):
         """The read paths' per-block loop: a hit ends the pending miss
-        run, moving to MRU before the run is handed out."""
+        run, moving to MRU before the run is handed out; the run is
+        inserted once the fetch is done."""
         run = []
         for block in span:
             if not self.lookup(file_id, block):
                 run.append(block)
             elif run:
                 yield range(run[0], run[-1] + 1)
+                self.insert_run(file_id, range(run[0], run[-1] + 1))
                 run = []
         if run:
             yield range(run[0], run[-1] + 1)
+            self.insert_run(file_id, range(run[0], run[-1] + 1))
 
     def invalidate_file(self, file_id):
         doomed = [key for key in self.blocks if key[0] == file_id]
@@ -175,14 +178,24 @@ FILES = ("a", "b")
 BLOCKS = st.integers(min_value=0, max_value=15)
 SPAN = st.tuples(st.sampled_from(FILES), BLOCKS,
                  st.integers(min_value=0, max_value=12))
+#: What another process may do to the cache while a fill's fetch runs:
+#: an insert (or another reader's whole fill) sends the fill down its
+#: block-exact fallback; a lookup or an invalidation leaves the run
+#: wholly missing, so it is appended straight to the MRU end.
+INTERLEAVED = st.one_of(
+    st.tuples(st.just("insert_run"), SPAN),
+    st.tuples(st.just("fill"), SPAN, st.just(())),
+    st.tuples(st.just("lookup"), st.sampled_from(FILES), BLOCKS),
+    st.tuples(st.just("invalidate_file"), st.sampled_from(FILES)),
+)
 OPS = st.one_of(
     st.tuples(st.just("lookup"), st.sampled_from(FILES), BLOCKS),
     st.tuples(st.just("insert"), st.sampled_from(FILES), BLOCKS),
     st.tuples(st.just("insert_run"), SPAN),
     st.tuples(st.just("insert_list"), st.sampled_from(FILES),
               st.lists(BLOCKS, max_size=10)),
-    # A scan whose fetches may let another writer in first.
-    st.tuples(st.just("scan"), SPAN, st.lists(SPAN, max_size=3)),
+    # A fill whose fetches may let other processes in first.
+    st.tuples(st.just("fill"), SPAN, st.lists(INTERLEAVED, max_size=3)),
     st.tuples(st.just("invalidate_file"), st.sampled_from(FILES)),
     st.tuples(st.just("clear")),
 )
@@ -211,20 +224,16 @@ def apply_op(cache, ref, op):
     elif kind == "insert_list":
         cache.insert_run(op[1], list(op[2]))
         ref.insert_run(op[1], op[2])
-    elif kind == "scan":
-        (file_id, lo, count), writers = op[1], list(op[2])
+    elif kind == "fill":
+        (file_id, lo, count), others = op[1], list(op[2])
         span = range(lo, lo + count)
-        ours, theirs = cache.scan(file_id, span), ref.scan(file_id, span)
+        ours, theirs = cache.fill(file_id, span), ref.fill(file_id, span)
         for run in theirs:
             assert next(ours) == run
             assert_same_state(cache, ref)
-            if writers:  # another process fills blocks during the fetch
-                other, other_lo, other_count = writers.pop()
-                other_run = range(other_lo, other_lo + other_count)
-                cache.insert_run(other, other_run)
-                ref.insert_run(other, other_run)
-            cache.insert_run(file_id, run)
-            ref.insert_run(file_id, run)
+            if others:  # another process runs during the fetch
+                apply_op(cache, ref, others.pop())
+                assert_same_state(cache, ref)
         assert next(ours, None) is None
     elif kind == "invalidate_file":
         assert cache.invalidate_file(op[1]) == ref.invalidate_file(op[1])
@@ -243,7 +252,19 @@ def apply_op(cache, ref, op):
          ops=[("insert_run", ("a", 0, 3)), ("insert_run", ("a", 2, 9))])
 @example(capacity_blocks=4,   # a hit ends a miss run, another writer in
          ops=[("insert_run", ("a", 4, 2)),
-              ("scan", ("a", 0, 8), [("a", 0, 8)])])
+              ("fill", ("a", 0, 8), [("insert_run", ("a", 0, 8))])])
+@example(capacity_blocks=3,   # a writer to the other file evicts ours
+         ops=[("insert_run", ("a", 2, 1)),
+              ("fill", ("a", 0, 6), [("insert_run", ("b", 0, 2))])])
+@example(capacity_blocks=4,   # no insert: the run goes straight to MRU
+         ops=[("insert_run", ("a", 3, 1)), ("insert_run", ("b", 0, 2)),
+              ("fill", ("a", 0, 6), [("lookup", "b", 0),
+                                     ("invalidate_file", "b")])])
+@example(capacity_blocks=4,   # another reader's fill lands first
+         ops=[("fill", ("a", 0, 4), [("fill", ("a", 2, 4), ())])])
+@example(capacity_blocks=2,   # the whole file dropped during the fetch
+         ops=[("insert_run", ("a", 2, 1)),
+              ("fill", ("a", 0, 4), [("invalidate_file", "a")])])
 def test_extent_cache_matches_per_block_lru(capacity_blocks, ops):
     cache = BlockCache(capacity_blocks * 64, block_size=64)
     ref = ReferenceLru(capacity_blocks)
